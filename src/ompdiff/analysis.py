@@ -99,19 +99,23 @@ def largest_comparable_subset(times: dict[str, float], alpha: float) -> list[str
     return [k for k, _ in best]
 
 
-def classify_performance(times: dict[str, float],
-                         params: AnalysisParams) -> dict[str, Classification]:
-    """Slow/fast verdicts for one (test, input) group of OK execution times."""
-    out = {k: Classification.EXCLUDED for k in times}
-    if len(times) < 3:
-        return out
-    # zero times stay excluded even when the filter is disabled: the
+def _has_short_run(times: dict[str, float], params: AnalysisParams) -> bool:
+    # zero times count as short even when the filter is disabled: the
     # comparability ratio has no value at min(r_i, r_j) = 0
-    if any(t < params.min_time_us or t == 0 for t in times.values()):
-        return out
+    return any(t < params.min_time_us or t == 0 for t in times.values())
+
+
+def _judge_performance(times: dict[str, float], params: AnalysisParams
+                       ) -> tuple[dict[str, Classification], Optional[float]]:
+    """Slow/fast verdicts for one group, and the midpoint of the largest
+    comparable cluster they were judged against (None when the group gets no
+    performance verdict)."""
+    out = {k: Classification.EXCLUDED for k in times}
+    if len(times) < 3 or _has_short_run(times, params):
+        return out, None
     cluster = largest_comparable_subset(times, params.alpha)
     if len(cluster) < 2:
-        return out
+        return out, None
     mid = midpoint([times[k] for k in cluster])
     for k, t in times.items():
         if k in cluster:
@@ -122,7 +126,13 @@ def classify_performance(times: dict[str, float],
             out[k] = Classification.FAST
         else:
             out[k] = Classification.NONE
-    return out
+    return out, mid
+
+
+def classify_performance(times: dict[str, float],
+                         params: AnalysisParams) -> dict[str, Classification]:
+    """Slow/fast verdicts for one (test, input) group of OK execution times."""
+    return _judge_performance(times, params)[0]
 
 
 @dataclass
@@ -289,21 +299,14 @@ def analyze_campaign(records: Iterable[RunRecord],
             disagreeing += 1
 
         times = {tc: float(r.time_us) for tc, r in ok.items()}
-        short = any(v < params.min_time_us or v == 0 for v in times.values())
+        short = _has_short_run(times, params)
         if short:
             excluded_short += 1
         else:
             groups_analyzed += 1
             runs_analyzed += len(times)
-        perf = classify_performance(times, params)
-        mid = None
-        ratios: dict[str, float] = {}
-        cluster = None
-        if not short and len(times) >= 3:
-            cluster = largest_comparable_subset(times, params.alpha)
-            if len(cluster) >= 2:
-                mid = midpoint([times[tc] for tc in cluster])
-                ratios = {tc: times[tc] / mid for tc in times}
+        perf, mid = _judge_performance(times, params)
+        ratios = {tc: t / mid for tc, t in times.items()} if mid is not None else {}
         # perf covers exactly the OK runs, which never carry correctness flags
         for tc, cls in perf.items():
             classes[tc] = cls

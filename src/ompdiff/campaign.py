@@ -316,12 +316,12 @@ def load_records(path: Path) -> list[RunRecord]:
     return records
 
 
-def execute_matrix(config: CampaignConfig,
-                   compile_results: Optional[dict] = None) -> list[RunRecord]:
+def execute_matrix(config: CampaignConfig) -> list[RunRecord]:
     """Execute every (test, input, toolchain) combination not yet recorded.
 
-    Compile failures become COMPILE_FAIL records, one per input, so the
-    record count is always |toolchains| x tests x inputs.
+    A missing binary beside its compile log is a failed compile; it becomes
+    COMPILE_FAIL records, one per input, so the record count is always
+    |toolchains| x tests x inputs.
     """
     records_path = config.records_path()
     existing = load_records(records_path)
@@ -340,18 +340,12 @@ def execute_matrix(config: CampaignConfig,
                 for tc in config.toolchains:
                     binary = config.binary(tc.id, group, test)
                     fail_reason = None
-                    if compile_results is not None:
-                        res = compile_results.get((tc.id, group, test))
-                        if res is not None and not res.ok:
-                            fail_reason = res.diagnostics.splitlines()[:1]
-                            fail_reason = fail_reason[0] if fail_reason else "compile failed"
-                    if fail_reason is None and not binary.exists():
+                    if not binary.exists():
                         log_path = binary.with_suffix(".compile.log")
-                        fail_reason = ("compile failed; see " + str(log_path)
-                                       if log_path.exists()
-                                       else "binary missing; run the build stage first")
                         if not log_path.exists():
-                            raise CampaignError(fail_reason)
+                            raise CampaignError(
+                                "binary missing; run the build stage first")
+                        fail_reason = f"compile failed; see {log_path}"
                     for input_id, tokens in enumerate(inputs):
                         key = (group, test, input_id, tc.id)
                         if key in done:
@@ -378,8 +372,8 @@ def run_campaign(config: CampaignConfig) -> list[RunRecord]:
     """Full generate -> build -> execute cycle; resumable at the record level."""
     config.validate()
     generate_tests(config)
-    compile_results = build_matrix(config)
-    return execute_matrix(config, compile_results)
+    build_matrix(config)
+    return execute_matrix(config)
 
 
 # --- local toolchain discovery ---

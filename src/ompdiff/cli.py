@@ -109,8 +109,8 @@ def main(argv=None) -> int:
             return _analyze(loaded)
         # all: full pipeline
         generate_tests(campaign)
-        results = build_matrix(campaign)
-        execute_matrix(campaign, results)
+        build_matrix(campaign)
+        execute_matrix(campaign)
         return _analyze(loaded)
     except (CampaignError, ToolchainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

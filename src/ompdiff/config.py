@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -10,20 +10,6 @@ import yaml
 from .analysis import AnalysisError, AnalysisParams
 from .campaign import CampaignConfig, CampaignError, ToolchainError, ToolchainSpec
 from .nodes import GeneratorParams, ParamError
-
-ANALYSIS_DEFAULTS = {"alpha": 0.2, "beta": 1.5, "min_time_us": 1000,
-                     "numeric_rel_tol": 0.0}
-
-GENERATOR_FIELDS = {
-    "max_expression_size": int, "max_nesting_levels": int,
-    "max_lines_in_block": int, "array_size": int, "max_same_level_blocks": int,
-    "math_func_allowed": bool, "math_func_probability": float,
-    "input_samples_per_run": int, "num_threads": int, "rng_seed": int,
-}
-
-CAMPAIGN_FIELDS = {"n_groups": int, "tests_per_group": int,
-                   "inputs_per_test": int, "timeout_seconds": float,
-                   "repetitions": int}
 
 
 class ConfigError(ValueError):
@@ -38,7 +24,11 @@ class LoadedConfig:
     analysis: AnalysisParams
 
 
-def _coerce(section: str, data: dict, spec: dict[str, type], errors: list[str]) -> dict:
+def _coerce(section: str, data: dict, cls, errors: list[str]) -> dict:
+    """Typed values of one YAML section. The settable fields of the config
+    dataclass `cls` are those whose default is an int, float or bool."""
+    spec = {f.name: type(f.default) for f in fields(cls)
+            if type(f.default) in (int, float, bool)}
     out = {}
     for key, value in (data or {}).items():
         if key not in spec:
@@ -88,8 +78,8 @@ def _toolchains(raw, errors: list[str]) -> list[ToolchainSpec]:
 
 def load_config(path) -> LoadedConfig:
     """Parse and validate a campaign config; raises ConfigError listing every
-    bad field. Omitted analysis thresholds fall back to alpha=0.2, beta=1.5,
-    min_time_us=1000."""
+    bad field. Omitted fields take the defaults of GeneratorParams,
+    CampaignConfig and AnalysisParams (the analysis thresholds among them)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file {path} does not exist"])
@@ -107,16 +97,13 @@ def load_config(path) -> LoadedConfig:
             errors.append(f"{key}: unknown section")
 
     toolchains = _toolchains(data.get("toolchains"), errors)
-    gen_kwargs = _coerce("generator", data.get("generator"), GENERATOR_FIELDS, errors)
+    gen_kwargs = _coerce("generator", data.get("generator"), GeneratorParams, errors)
     if "num_threads" not in gen_kwargs:
         # deliberately no default: the thread count shapes every parallel
         # region, so the config must state it
         errors.append("generator.num_threads: field is required")
-    camp_kwargs = _coerce("campaign", data.get("campaign"), CAMPAIGN_FIELDS, errors)
-    ana_kwargs = dict(ANALYSIS_DEFAULTS)
-    ana_kwargs.update(_coerce("analysis", data.get("analysis"),
-                              {k: float if k != "min_time_us" else int
-                               for k in ANALYSIS_DEFAULTS}, errors))
+    camp_kwargs = _coerce("campaign", data.get("campaign"), CampaignConfig, errors)
+    ana_kwargs = _coerce("analysis", data.get("analysis"), AnalysisParams, errors)
 
     generator = None
     try:
@@ -138,8 +125,6 @@ def load_config(path) -> LoadedConfig:
 
     campaign = None
     if not errors:
-        # when omitted, the per-test input count follows the generator knob
-        camp_kwargs.setdefault("inputs_per_test", generator.input_samples_per_run)
         campaign = CampaignConfig(campaign_dir=Path(campaign_dir),
                                   toolchains=toolchains, generator=generator,
                                   **camp_kwargs)

@@ -27,7 +27,7 @@ from random import Random
 from typing import Optional, Union
 
 from .nodes import (
-    ARITH_OPS, ASSIGN_OPS, BOOL_OPS, COMP, THREAD_ID,
+    ARITH_OPS, ASSIGN_OPS, BOOL_OPS, COMP, MATH_FUNCS, THREAD_ID,
     ArrayRef, Assignment, BinOp, Block, BoolExpr, Critical, Expr, ForLoop,
     GeneratorParams, IfBlock, MathCall, Num, OmpParallel, ParamDecl, Paren,
     Program, Statement, TempDecl, VarTerm,
@@ -43,8 +43,6 @@ class RaceFreedomError(RuntimeError):
 @dataclass
 class _Region:
     reduction: Optional[str]
-    private: list[str]
-    firstprivate: list[str]
     # scalars whose value cannot change while the region runs; the only legal
     # operands for comp updates and for loop bounds inside the region
     invariant_fp: list[str]
@@ -154,7 +152,7 @@ def _gen_term(ctx: _Ctx, pool: _Pool) -> Expr:
         term = ArrayRef(rng.choice(pool.arrays), rng.choice(pool.array_indices),
                         modulo=True)
     if ctx.p.math_func_allowed and rng.random() < ctx.p.math_func_probability:
-        term = MathCall(rng.choice(ctx.p.math_funcs), term)
+        term = MathCall(rng.choice(MATH_FUNCS), term)
     return term
 
 
@@ -382,8 +380,6 @@ def _gen_omp(ctx: _Ctx, depth: int) -> OmpParallel:
 
     region = _Region(
         reduction=reduction,
-        private=list(private),
-        firstprivate=list(firstprivate),
         invariant_fp=[v for v in ctx.fp_scalars if sharing[v] in ("shared", "firstprivate")],
         invariant_ints=[v for v in ctx.int_params if sharing[v] in ("shared", "firstprivate")],
         invariant_indices=list(ctx.loop_indices),
@@ -465,9 +461,8 @@ def generate_program(params: GeneratorParams) -> Program:
         sink_arrays=sinks,
     )
     body = _gen_block(ctx, depth=0)
-    program = Program(params=decls, body=body, seed=params.rng_seed,
-                      precision=precision, array_size=params.array_size)
-    return enforce_race_freedom(program)
+    return Program(params=decls, body=body, seed=params.rng_seed,
+                   precision=precision, array_size=params.array_size)
 
 
 # --- race-freedom enforcement ---

@@ -13,8 +13,8 @@ ARITH_OPS = ("+", "-", "*", "/")
 BOOL_OPS = ("<", ">", "==", "!=", ">=", "<=")
 REDUCTION_OPS = ("+", "*")
 
-# Unary math functions total over the reals; config may narrow this set.
-DEFAULT_MATH_FUNCS = ("sin", "cos", "exp", "fabs", "cbrt")
+# Unary math functions total over the reals.
+MATH_FUNCS = ("sin", "cos", "exp", "fabs", "cbrt")
 
 
 class ParamError(ValueError):
@@ -30,14 +30,12 @@ class GeneratorParams:
     max_same_level_blocks: int = 3
     math_func_allowed: bool = True
     math_func_probability: float = 0.01
-    input_samples_per_run: int = 3
     num_threads: int = 4
     rng_seed: int = 0
-    math_funcs: tuple[str, ...] = DEFAULT_MATH_FUNCS
 
     def validate(self) -> None:
         for name in ("max_expression_size", "max_lines_in_block", "array_size",
-                     "input_samples_per_run", "num_threads"):
+                     "num_threads"):
             if getattr(self, name) < 1:
                 raise ParamError(f"{name} must be a positive integer")
         for name in ("max_nesting_levels", "max_same_level_blocks"):
@@ -52,8 +50,6 @@ class GeneratorParams:
         # thread_id is used as an array subscript, so every id must be in bounds
         if self.num_threads > self.array_size:
             raise ParamError("num_threads must not exceed array_size")
-        if self.math_func_allowed and not self.math_funcs:
-            raise ParamError("math_funcs must be non-empty when math_func_allowed is true")
 
 
 # --- expressions ---
@@ -157,10 +153,10 @@ class Critical:
 
 Statement = Union[Assignment, TempDecl, IfBlock, ForLoop, OmpParallel, Critical]
 
-# Simple line-statements count against max_lines_in_block; block statements
-# count against max_same_level_blocks and add one nesting level.
+# Simple line-statements count against max_lines_in_block; every other
+# statement is a block, which counts against max_same_level_blocks and adds one
+# nesting level.
 LINE_STATEMENTS = (Assignment, TempDecl)
-BLOCK_STATEMENTS = (IfBlock, ForLoop, OmpParallel, Critical)
 
 
 # --- program ---

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .nodes import (
-    ARITH_OPS, ASSIGN_OPS, BOOL_OPS, COMP, LINE_STATEMENTS, REDUCTION_OPS,
-    THREAD_ID, ArrayRef, Assignment, BinOp, Block, BoolExpr, Critical, Expr,
-    ForLoop, GeneratorParams, IfBlock, MathCall, Num, OmpParallel, Paren,
-    Program, TempDecl, VarTerm,
+    ARITH_OPS, ASSIGN_OPS, BOOL_OPS, COMP, LINE_STATEMENTS, MATH_FUNCS,
+    REDUCTION_OPS, THREAD_ID, ArrayRef, Assignment, BinOp, Block, BoolExpr,
+    Critical, Expr, ForLoop, GeneratorParams, IfBlock, MathCall, Num,
+    OmpParallel, Paren, Program, TempDecl, VarTerm,
 )
 
 
@@ -95,7 +95,7 @@ class _Validator:
         elif isinstance(e, MathCall):
             if not self.params.math_func_allowed:
                 self.err(path, "math", "math call generated while disallowed")
-            elif e.func not in self.params.math_funcs:
+            elif e.func not in MATH_FUNCS:
                 self.err(path, "math", f"math function {e.func!r} not in the allowed set")
             self.expr(e.arg, env, path)
         elif isinstance(e, BinOp):

@@ -1,6 +1,7 @@
 import os
 import stat
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -204,8 +205,25 @@ def test_compile_fail_becomes_records_not_abort(tmp_path, toolchains):
     cfg.test_source(0, 1).write_text("int main() { broken }\n")
     results = build_matrix(cfg)
     assert any(not r.ok for r in results.values())
-    records = execute_matrix(cfg, results)
+    records = execute_matrix(cfg)
     assert len(records) == 8
     failed = [r for r in records if r.status == "COMPILE_FAIL"]
     assert {(r.group, r.test) for r in failed} == {(0, 1)}
     assert len(failed) == 4  # 2 toolchains x 2 inputs
+
+
+def test_compile_failure_gets_the_same_record_from_run_campaign_and_run(
+        tmp_path, toolchain):
+    broken = replace(toolchain, id="broken",
+                     flags=toolchain.flags + ["-fno-such-flag-xyz"])
+    cfg = _config(tmp_path, [toolchain, broken])
+
+    def compile_fails(records):
+        return {r.key: (r.status, r.exit) for r in records
+                if r.status == "COMPILE_FAIL"}
+
+    first = compile_fails(run_campaign(cfg))
+    cfg.records_path().write_text("")
+    second = compile_fails(execute_matrix(cfg))
+    assert len(first) == 2 * 2  # tests x inputs of the broken toolchain
+    assert second == first

@@ -1,10 +1,15 @@
 import json
 import textwrap
+from dataclasses import fields
 
 import pytest
+import yaml
 
+from ompdiff.analysis import AnalysisParams
+from ompdiff.campaign import CampaignConfig
 from ompdiff.cli import EXIT_ERROR, EXIT_OK, EXIT_OUTLIERS, main
 from ompdiff.config import ConfigError, describe, load_config
+from ompdiff.nodes import GeneratorParams
 
 from test_analysis import slow_fixture_records
 
@@ -46,7 +51,7 @@ def test_load_config_applies_paper_defaults(tmp_path):
     assert loaded.analysis.min_time_us == 1000
     assert loaded.campaign.generator.max_expression_size == 5
     assert loaded.campaign.generator.num_threads == 32
-    # omitted campaign.inputs_per_test follows the generator knob
+    # omitted campaign.inputs_per_test takes the CampaignConfig default
     assert loaded.campaign.inputs_per_test == 3
     text = describe(loaded)
     assert "alpha=0.2" in text and "beta=1.5" in text
@@ -61,6 +66,37 @@ def test_load_config_explicit_analysis_section(tmp_path):
     assert loaded.analysis.alpha == 0.3
     assert loaded.analysis.beta == 2.0
     assert loaded.analysis.min_time_us == 1000
+
+
+def test_every_field_is_settable_from_yaml(tmp_path):
+    generator = dict(max_expression_size=4, max_nesting_levels=2,
+                     max_lines_in_block=6, array_size=500,
+                     max_same_level_blocks=2, math_func_allowed=False,
+                     math_func_probability=0.0, num_threads=8, rng_seed=123)
+    campaign = dict(n_groups=4, tests_per_group=5, inputs_per_test=2,
+                    timeout_seconds=12.5, repetitions=3)
+    analysis = dict(alpha=0.1, beta=2.0, min_time_us=500, numeric_rel_tol=1e-9)
+    assert set(generator) == {f.name for f in fields(GeneratorParams)}
+    assert set(campaign) == {f.name for f in fields(CampaignConfig)} - {
+        "campaign_dir", "toolchains", "generator"}
+    assert set(analysis) == {f.name for f in fields(AnalysisParams)}
+    for cls, values in ((GeneratorParams, generator), (AnalysisParams, analysis)):
+        for name, value in values.items():
+            assert getattr(cls(), name) != value, name
+    for name, value in campaign.items():
+        assert getattr(CampaignConfig(tmp_path, []), name) != value, name
+
+    path = tmp_path / "all.yaml"
+    path.write_text(yaml.safe_dump({
+        "campaign_dir": str(tmp_path / "c"),
+        "toolchains": [{"id": "a", "template": "g++ {flags} {src} -o {out}"},
+                       {"id": "b", "template": "g++ {flags} {src} -o {out}"}],
+        "generator": generator, "campaign": campaign, "analysis": analysis,
+    }))
+    loaded = load_config(path)
+    assert loaded.campaign.generator == GeneratorParams(**generator)
+    assert loaded.analysis == AnalysisParams(**analysis)
+    assert {k: getattr(loaded.campaign, k) for k in campaign} == campaign
 
 
 def test_single_toolchain_rejected(tmp_path):

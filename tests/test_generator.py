@@ -1,4 +1,5 @@
 import pytest
+from dataclasses import replace
 from random import Random
 
 from ompdiff.emit import emit_source
@@ -11,9 +12,16 @@ from ompdiff.nodes import (COMP, THREAD_ID, ArrayRef, Assignment, Block,
                            walk_statements)
 from ompdiff.validate import validate_program
 
+from test_campaign import TAME
+
 PAPER = dict(max_expression_size=5, max_nesting_levels=3, max_lines_in_block=10,
              array_size=1000, max_same_level_blocks=3, math_func_allowed=True,
              math_func_probability=0.01)
+TIGHT = GeneratorParams(rng_seed=5, max_expression_size=2,
+                        max_nesting_levels=1, max_lines_in_block=2,
+                        max_same_level_blocks=1, array_size=10,
+                        num_threads=2, math_func_allowed=False,
+                        math_func_probability=0.0)
 
 
 def test_params_validation_names_field():
@@ -91,13 +99,8 @@ def test_corpus_covers_grammar_features():
 
 
 def test_limits_respected_under_tight_params():
-    params = GeneratorParams(rng_seed=5, max_expression_size=2,
-                             max_nesting_levels=1, max_lines_in_block=2,
-                             max_same_level_blocks=1, array_size=10,
-                             num_threads=2, math_func_allowed=False,
-                             math_func_probability=0.0)
-    program = generate_program(params)
-    assert validate_program(program, params) == []
+    program = generate_program(TIGHT)
+    assert validate_program(program, TIGHT) == []
 
 
 # --- data sharing ---
@@ -186,10 +189,13 @@ def test_enforcement_is_idempotent():
 
 
 def test_generated_programs_are_fixpoints_of_enforcement():
-    for seed in range(20):
-        params = GeneratorParams(rng_seed=seed, num_threads=4, **PAPER)
-        program = generate_program(params)
-        assert enforce_race_freedom(program) == program
+    # generate_program does not call the repair pass; this is the evidence
+    # that its output never needs one
+    base = GeneratorParams(num_threads=4, **PAPER)
+    for params in (base, TIGHT, TAME):
+        for seed in range(200):
+            program = generate_program(replace(params, rng_seed=seed))
+            assert enforce_race_freedom(program) == program
 
 
 def test_unprotectable_prelude_write_is_an_internal_error():
