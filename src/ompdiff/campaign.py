@@ -18,7 +18,7 @@ import signal
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from random import Random
 from typing import Optional
@@ -78,19 +78,11 @@ class RunRecord:
     exit: Optional[str] = None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "test": self.test, "group": self.group, "input": self.input,
-            "toolchain": self.toolchain, "status": self.status,
-            "time_us": self.time_us, "comp": self.comp, "exit": self.exit,
-        })
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, line: str) -> "RunRecord":
-        d = json.loads(line)
-        return cls(test=d["test"], group=d["group"], input=d["input"],
-                   toolchain=d["toolchain"], status=d["status"],
-                   time_us=d.get("time_us"), comp=d.get("comp"),
-                   exit=d.get("exit"))
+        return cls(**json.loads(line))
 
     @property
     def key(self) -> tuple:
@@ -241,10 +233,14 @@ class ExecResult:
     exit: Optional[str] = None
 
 
-def _parse_run_output(stdout: str) -> Optional[tuple[str, int]]:
+def _parse_run_output(stdout: bytes) -> Optional[tuple[str, int]]:
+    try:
+        text = stdout.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
     comp = None
     time_us = None
-    for line in stdout.splitlines():
+    for line in text.splitlines():
         if line.startswith("comp=") and comp is None:
             comp = line[len("comp="):].strip()
         elif line.startswith("time_us=") and time_us is None:
@@ -260,7 +256,7 @@ def _parse_run_output(stdout: str) -> Optional[tuple[str, int]]:
 def _run_once(binary: str, args: list[str], timeout: float,
               env: Optional[dict[str, str]]) -> ExecResult:
     proc = subprocess.Popen([binary] + args, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True, env=env)
+                            stderr=subprocess.PIPE, env=env)
     try:
         stdout, _ = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
@@ -305,15 +301,28 @@ def execute(binary: Path, args: list[str], timeout_seconds: float,
 
 
 def load_records(path: Path) -> list[RunRecord]:
+    """Every complete record in the log. A final line without its newline is
+    the torn tail of an interrupted write and is ignored."""
     if not Path(path).exists():
         return []
     records = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
+            if not line.endswith("\n"):
+                break
             line = line.strip()
             if line:
                 records.append(RunRecord.from_json(line))
     return records
+
+
+def _cut_torn_tail(path: Path) -> None:
+    """Drop a torn final line, so that the next append starts a line of its
+    own; a log that ends in a newline is left untouched."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
 
 
 def execute_matrix(config: CampaignConfig) -> list[RunRecord]:
@@ -328,6 +337,8 @@ def execute_matrix(config: CampaignConfig) -> list[RunRecord]:
     done = {r.key for r in existing}
     records = list(existing)
     records_path.parent.mkdir(parents=True, exist_ok=True)
+    if records_path.exists():
+        _cut_torn_tail(records_path)
     env_by_tc = {tc.id: tc.runtime_env() for tc in config.toolchains}
     with open(records_path, "a", encoding="utf-8") as log:
         for group in range(config.n_groups):
@@ -351,16 +362,12 @@ def execute_matrix(config: CampaignConfig) -> list[RunRecord]:
                         if key in done:
                             continue
                         if fail_reason is not None:
-                            rec = RunRecord(test=test, group=group, input=input_id,
-                                            toolchain=tc.id, status="COMPILE_FAIL",
-                                            exit=fail_reason)
+                            res = ExecResult("COMPILE_FAIL", exit=fail_reason)
                         else:
                             res = execute(binary, tokens, config.timeout_seconds,
                                           config.repetitions, env_by_tc[tc.id])
-                            rec = RunRecord(test=test, group=group, input=input_id,
-                                            toolchain=tc.id, status=res.status,
-                                            time_us=res.time_us, comp=res.comp,
-                                            exit=res.exit)
+                        rec = RunRecord(test=test, group=group, input=input_id,
+                                        toolchain=tc.id, **asdict(res))
                         log.write(rec.to_json() + "\n")
                         log.flush()
                         records.append(rec)
@@ -426,7 +433,9 @@ def probe_toolchain(spec: ToolchainSpec) -> bool:
 
 
 def discover_default_toolchains(optimization: str = "-O3") -> list[ToolchainSpec]:
-    """OpenMP toolchains usable on this host, probed with a smoke compile."""
+    """OpenMP toolchains usable on this host, probed with a smoke compile:
+    one per working compiler, plus a `<id>-novec` variant when only one
+    compiler works."""
     candidates = [
         ToolchainSpec(id="gcc", template="g++ {flags} {src} -o {out}",
                       flags=[optimization, "-fopenmp"]),
@@ -449,4 +458,11 @@ def discover_default_toolchains(optimization: str = "-O3") -> list[ToolchainSpec
         if probe_toolchain(spec):
             found.append(spec)
             seen_compilers.add(compiler)
+    if len(found) == 1:
+        # one compiler is compared with a flag variant of itself, as Csmith
+        # does: weaker evidence than two vendors, but still at -O3
+        variant = replace(found[0], id=f"{found[0].id}-novec",
+                          flags=found[0].flags + ["-fno-tree-vectorize"])
+        if probe_toolchain(variant):
+            found.append(variant)
     return found

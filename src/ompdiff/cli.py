@@ -1,8 +1,8 @@
 """Command-line driver for the generate/build/run/analyze pipeline.
 
-Exit codes: 0 clean, 1 outliers found, 2 configuration or infrastructure
-error. Stages are separate subcommands so an expensive run phase can be
-re-analyzed under new thresholds without regeneration.
+Exit codes: 0 clean, 1 outliers found, 2 configuration, infrastructure or
+any other error. Stages are separate subcommands so an expensive run phase
+can be re-analyzed under new thresholds without regeneration.
 """
 
 from __future__ import annotations
@@ -80,6 +80,15 @@ def _analyze(loaded: LoadedConfig) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # exit 1 is reserved for "outliers found"
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return EXIT_ERROR
+
+
+def _run(args) -> int:
     try:
         loaded = _apply_overrides(load_config(args.config), args)
     except (ConfigError, CampaignError, ToolchainError) as exc:

@@ -24,11 +24,16 @@ class LoadedConfig:
     analysis: AnalysisParams
 
 
-def _coerce(section: str, data: dict, cls, errors: list[str]) -> dict:
-    """Typed values of one YAML section. The settable fields of the config
-    dataclass `cls` are those whose default is an int, float or bool."""
-    spec = {f.name: type(f.default) for f in fields(cls)
+def _settable(cls) -> dict[str, type]:
+    """The fields of a config dataclass that YAML sets: those whose default
+    is an int, float or bool, with that type."""
+    return {f.name: type(f.default) for f in fields(cls)
             if type(f.default) in (int, float, bool)}
+
+
+def _coerce(section: str, data: dict, cls, errors: list[str]) -> dict:
+    """Typed values of one YAML section, which sets the fields of `cls`."""
+    spec = _settable(cls)
     out = {}
     for key, value in (data or {}).items():
         if key not in spec:
@@ -139,22 +144,16 @@ def load_config(path) -> LoadedConfig:
 
 
 def describe(loaded: LoadedConfig) -> str:
-    """Echo of the resolved configuration values."""
+    """Echo of the resolved configuration: each section's settable fields as
+    `name=value`, under their YAML names."""
     c = loaded.campaign
-    g = c.generator
-    a = loaded.analysis
     lines = [
         f"campaign_dir: {c.campaign_dir}",
         "toolchains: " + ", ".join(f"{t.id} ({t.template}, flags={' '.join(t.flags)})"
                                    for t in c.toolchains),
-        f"sizes: {c.n_groups} groups x {c.tests_per_group} tests x "
-        f"{c.inputs_per_test} inputs, timeout {c.timeout_seconds}s, "
-        f"repetitions {c.repetitions}",
-        f"generator: expr<={g.max_expression_size} nest<={g.max_nesting_levels} "
-        f"lines<={g.max_lines_in_block} arrays={g.array_size} "
-        f"blocks<={g.max_same_level_blocks} math={g.math_func_allowed}"
-        f"@{g.math_func_probability} threads={g.num_threads} seed={g.rng_seed}",
-        f"analysis: alpha={a.alpha} beta={a.beta} min_time_us={a.min_time_us} "
-        f"numeric_rel_tol={a.numeric_rel_tol}",
     ]
+    for section, values in (("generator", c.generator), ("campaign", c),
+                            ("analysis", loaded.analysis)):
+        lines.append(f"{section}: " + " ".join(
+            f"{name}={getattr(values, name)}" for name in _settable(type(values))))
     return "\n".join(lines)

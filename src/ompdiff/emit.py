@@ -11,9 +11,9 @@ granularity.
 from __future__ import annotations
 
 from .nodes import (
-    COMP, THREAD_ID, ArrayRef, Assignment, BinOp, Block, BoolExpr, Critical,
-    Expr, ForLoop, GeneratorParams, IfBlock, MathCall, Num, OmpParallel,
-    Paren, Program, TempDecl, VarTerm, walk_statements,
+    COMP, THREAD_ID, ArrayRef, Assignment, BinOp, Block, Critical, Expr,
+    ForLoop, GeneratorParams, IfBlock, MathCall, Num, OmpParallel, Paren,
+    Program, TempDecl, VarTerm, leaves, walk_statements,
 )
 from .validate import validate_program
 
@@ -25,32 +25,18 @@ class EmitError(ValueError):
     pass
 
 
-def _uses_thread_id(expr_or_block) -> bool:
-    def in_expr(e: Expr) -> bool:
-        if isinstance(e, VarTerm):
-            return e.name == THREAD_ID
-        if isinstance(e, ArrayRef):
-            return e.index == THREAD_ID
-        if isinstance(e, Paren):
-            return in_expr(e.inner)
-        if isinstance(e, MathCall):
-            return in_expr(e.arg)
-        if isinstance(e, BinOp):
-            return in_expr(e.lhs) or in_expr(e.rhs)
-        return False
-
-    for stmt in walk_statements(expr_or_block):
+def _uses_thread_id(block: Block) -> bool:
+    terms = []
+    for stmt in walk_statements(block):
         if isinstance(stmt, Assignment):
-            if in_expr(stmt.expr):
-                return True
-            if isinstance(stmt.target, ArrayRef) and stmt.target.index == THREAD_ID:
-                return True
-        elif isinstance(stmt, TempDecl) and in_expr(stmt.init):
-            return True
+            terms += [stmt.target, *leaves(stmt.expr)]
+        elif isinstance(stmt, TempDecl):
+            terms += leaves(stmt.init)
         elif isinstance(stmt, IfBlock):
-            if stmt.cond.lhs == THREAD_ID or in_expr(stmt.cond.rhs):
-                return True
-    return False
+            terms += [VarTerm(stmt.cond.lhs), *leaves(stmt.cond.rhs)]
+    return any((isinstance(t, VarTerm) and t.name == THREAD_ID)
+               or (isinstance(t, ArrayRef) and t.index == THREAD_ID)
+               for t in terms)
 
 
 class _Emitter:

@@ -32,6 +32,7 @@ from .nodes import (
     GeneratorParams, IfBlock, MathCall, Num, OmpParallel, ParamDecl, Paren,
     Program, Statement, TempDecl, VarTerm,
 )
+from .validate import locate, validate_program
 
 PARAM_KINDS = ("int-scalar", "fp-scalar", "fp-array")
 
@@ -467,54 +468,19 @@ def generate_program(params: GeneratorParams) -> Program:
 
 # --- race-freedom enforcement ---
 
-def _protect_block(block: Block, region: Optional[OmpParallel],
-                   in_crit: bool, in_region_loop: bool,
-                   region_locals: set[str], path: str) -> None:
-    locals_here = set(region_locals)
-    clause_names = (set(region.private) | set(region.firstprivate)
-                    if region is not None else set())
-    for idx, stmt in enumerate(block.statements):
-        where = f"{path}[{idx}]"
-        if isinstance(stmt, TempDecl):
-            if region is not None:
-                locals_here.add(stmt.name)
-            continue
-        if isinstance(stmt, Assignment):
-            if region is None or in_crit:
-                continue
-            tgt = stmt.target
-            if isinstance(tgt, ArrayRef):
-                needs_wrap = tgt.index != THREAD_ID
-            elif tgt.name == COMP:
-                needs_wrap = region.reduction is None
-            else:
-                needs_wrap = (tgt.name not in clause_names
-                              and tgt.name not in locals_here)
-            if needs_wrap:
-                if not in_region_loop:
-                    raise RaceFreedomError(
-                        f"unprotectable shared write at {where}: critical "
-                        f"sections may only appear inside loops in the region")
-                block.statements[idx] = Critical(Block([stmt]))
-            continue
-        if isinstance(stmt, OmpParallel):
-            _protect_block(stmt.body, stmt, False, False, set(), f"{where}.body")
-        elif isinstance(stmt, ForLoop):
-            _protect_block(stmt.body, region, in_crit,
-                           in_region_loop or region is not None,
-                           locals_here, f"{where}.body")
-        elif isinstance(stmt, IfBlock):
-            _protect_block(stmt.body, region, in_crit, in_region_loop,
-                           locals_here, f"{where}.body")
-        elif isinstance(stmt, Critical):
-            _protect_block(stmt.body, region, True, in_region_loop,
-                           locals_here, f"{where}.body")
-
-
 def enforce_race_freedom(program: Program) -> Program:
-    """Wrap unprotected shared writes inside parallel regions in critical
-    sections; writes already covered by thread-id indexing or a reduction are
-    left alone. Applying the pass twice equals applying it once."""
+    """Wrap in a critical section each write that `validate_program` flags
+    as a race; writes already covered by thread-id indexing, a reduction, a
+    data-sharing clause or region locality are left alone. Applying the pass
+    twice equals applying it once."""
     out = copy.deepcopy(program)
-    _protect_block(out.body, None, False, False, set(), "body")
+    for violation in validate_program(out, GeneratorParams()):
+        if violation.rule != "race":
+            continue
+        block, idx, in_region_loop = locate(out, violation.path)
+        if not in_region_loop:
+            raise RaceFreedomError(
+                f"unprotectable shared write at {violation.path}: critical "
+                f"sections may only appear inside loops in the region")
+        block.statements[idx] = Critical(Block([block.statements[idx]]))
     return out

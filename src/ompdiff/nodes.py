@@ -184,7 +184,7 @@ class Program:
 
 
 def walk_statements(block: Block):
-    """Yield (statement, child-blocks) for every statement under `block`."""
+    """Yield every statement under `block`, parents before children."""
     for stmt in block.statements:
         yield stmt
         for child in child_blocks(stmt):
@@ -192,8 +192,17 @@ def walk_statements(block: Block):
 
 
 def child_blocks(stmt: Statement) -> list[Block]:
-    if isinstance(stmt, (IfBlock, ForLoop, Critical)):
-        return [stmt.body]
-    if isinstance(stmt, OmpParallel):
+    if isinstance(stmt, (IfBlock, ForLoop, OmpParallel, Critical)):
         return [stmt.body]
     return []
+
+
+def leaves(expr: Expr) -> list[Expr]:
+    """The Num/VarTerm/ArrayRef terms of `expr`, left to right."""
+    if isinstance(expr, BinOp):
+        return leaves(expr.lhs) + leaves(expr.rhs)
+    if isinstance(expr, Paren):
+        return leaves(expr.inner)
+    if isinstance(expr, MathCall):
+        return leaves(expr.arg)
+    return [expr]

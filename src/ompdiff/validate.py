@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -9,7 +10,7 @@ from .nodes import (
     ARITH_OPS, ASSIGN_OPS, BOOL_OPS, COMP, LINE_STATEMENTS, MATH_FUNCS,
     REDUCTION_OPS, THREAD_ID, ArrayRef, Assignment, BinOp, Block, BoolExpr,
     Critical, Expr, ForLoop, GeneratorParams, IfBlock, MathCall, Num,
-    OmpParallel, Paren, Program, TempDecl, VarTerm,
+    OmpParallel, Paren, Program, TempDecl, VarTerm, leaves,
 )
 
 
@@ -44,18 +45,6 @@ class _Env:
         return (name in self.fp or name in self.ints or name in self.arrays
                 or name in self.indices or name == COMP
                 or (name == THREAD_ID and self.region is not None))
-
-
-def _count_terms(expr: Expr) -> int:
-    if isinstance(expr, (Num, VarTerm, ArrayRef)):
-        return 1
-    if isinstance(expr, Paren):
-        return _count_terms(expr.inner)
-    if isinstance(expr, MathCall):
-        return _count_terms(expr.arg)
-    if isinstance(expr, BinOp):
-        return _count_terms(expr.lhs) + _count_terms(expr.rhs)
-    return 1
 
 
 class _Validator:
@@ -107,7 +96,7 @@ class _Validator:
             self.err(path, "op", f"unknown expression node {type(e).__name__}")
 
     def sized_expr(self, e: Expr, env: _Env, path: str) -> None:
-        n = _count_terms(e)
+        n = len(leaves(e))
         if n > self.params.max_expression_size:
             self.err(path, "limit.expr",
                      f"expression has {n} terms, limit is {self.params.max_expression_size}")
@@ -209,8 +198,9 @@ class _Validator:
 
     def race_rules(self, stmt: Assignment, env: _Env, path: str) -> None:
         """Writes inside a region must be thread-id indexed, reduction-covered,
-        or inside a critical section; private and block-local targets are
-        exempt because each thread owns its copy."""
+        or inside a critical section; clause-private and region-local targets
+        are exempt because each thread owns its copy. This is the only place
+        the rule is written: the repair pass wraps exactly what it flags."""
         if env.region is None or env.in_critical:
             return
         tgt = stmt.target
@@ -292,6 +282,7 @@ class _Validator:
         inner.region = stmt
         inner.region_locals = frozenset()
         inner.in_region_loop = False
+        inner.in_critical = False  # a nested team does not hold the outer lock
         inner.omp_body = True
         self.block(stmt.body, inner, depth + 1, f"{path}.body")
 
@@ -299,3 +290,19 @@ class _Validator:
 def validate_program(program: Program, params: GeneratorParams) -> list[Violation]:
     """Every invariant violation in the AST; an empty list means accept."""
     return _Validator(program, params).run()
+
+
+def locate(program: Program, path: str) -> tuple[Block, int, bool]:
+    """The block and index of the statement that a violation path such as
+    `body[0].body[2]` names, and whether the path passes through a loop
+    inside its innermost parallel region."""
+    *outer, last = map(int, re.findall(r"\[(\d+)\]", path))
+    block, region, in_region_loop = program.body, False, False
+    for idx in outer:
+        stmt = block.statements[idx]
+        if isinstance(stmt, OmpParallel):
+            region, in_region_loop = True, False
+        elif isinstance(stmt, ForLoop):
+            in_region_loop = region
+        block = stmt.body
+    return block, last, in_region_loop

@@ -1,4 +1,5 @@
 import os
+import shutil
 import stat
 import textwrap
 from dataclasses import replace
@@ -54,6 +55,10 @@ def fixtures(tmp_path):
             print("comp=1.0")
             print("time_us=500")
         """),
+        "not_utf8": script(tmp_path / "not_utf8.py", """
+            import sys
+            sys.stdout.buffer.write(b"comp=\\xff\\ntime_us=10\\n")
+        """),
     }
 
 
@@ -85,6 +90,12 @@ def test_execute_crash_on_broken_output(fixtures):
     assert res.exit == "output contract violated"
 
 
+def test_execute_crash_on_output_that_is_not_utf8(fixtures):
+    res = execute(fixtures["not_utf8"], [], timeout_seconds=10)
+    assert res.status == "CRASH"
+    assert res.exit == "output contract violated"
+
+
 def test_execute_repetitions_demand_stable_output(fixtures):
     res = execute(fixtures["flaky"], [], timeout_seconds=10, repetitions=3)
     assert res.status == "CRASH" and "varied" in res.exit
@@ -101,6 +112,28 @@ def test_record_json_roundtrip():
     rec = RunRecord(test=1, group=2, input=0, toolchain="gcc", status="OK",
                     time_us=10, comp="1.0", exit=None)
     assert RunRecord.from_json(rec.to_json()) == rec
+
+
+def test_torn_final_record_is_cut_before_resume(tmp_path, fixtures):
+    # stand-in binaries: execute_matrix only runs what the build left behind
+    cfg = _config(tmp_path, [ToolchainSpec(id=t, template="cc {src} -o {out}")
+                             for t in ("a", "b")])
+    generate_tests(cfg)
+    for tc in cfg.toolchains:
+        for test in range(cfg.tests_per_group):
+            binary = cfg.binary(tc.id, 0, test)
+            binary.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(fixtures["ok"], binary)
+    finished = execute_matrix(cfg)
+    log = cfg.records_path()
+    log.write_bytes(log.read_bytes()[:-20])  # killed in mid-write
+    assert len(load_records(log)) == len(finished) - 1
+    execute_matrix(cfg)
+    keys = [r.key for r in load_records(log)]
+    assert sorted(keys) == sorted(r.key for r in finished)
+    before = log.read_bytes()
+    execute_matrix(cfg)
+    assert log.read_bytes() == before
 
 
 def test_compile_success_and_failure(toolchain, tmp_path):

@@ -172,6 +172,18 @@ generator:
 """, name="cli.yaml")
 
 
+def test_cli_analyze_corrupt_record_log_is_an_error_not_outliers(tmp_path, capsys):
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    lines = [rec.to_json() for rec in slow_fixture_records()]
+    lines.insert(1, '{"test": 0, "gro')
+    (camp / "records.jsonl").write_text("\n".join(lines) + "\n")
+    cfg = paper_config(tmp_path, camp)
+    assert main(["analyze", "--config", str(cfg)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_validate_config(tmp_path, toolchains, capsys):
     cfg = tame_cli_config(tmp_path, toolchains[:2])
     assert main(["validate-config", "--config", str(cfg)]) == EXIT_OK

@@ -9,7 +9,7 @@ from ompdiff.nodes import (COMP, THREAD_ID, ArrayRef, Assignment, Block,
                            Critical, ForLoop, GeneratorParams, IfBlock,
                            LINE_STATEMENTS, MathCall, Num, OmpParallel,
                            ParamDecl, ParamError, Program, TempDecl, VarTerm,
-                           walk_statements)
+                           child_blocks, walk_statements)
 from ompdiff.validate import validate_program
 
 from test_campaign import TAME
@@ -196,6 +196,38 @@ def test_generated_programs_are_fixpoints_of_enforcement():
         for seed in range(200):
             program = generate_program(replace(params, rng_seed=seed))
             assert enforce_race_freedom(program) == program
+
+
+def _mutate(program, rng):
+    """Inject races in place: drop some reduction clauses and unwrap some
+    critical sections into the enclosing block."""
+    def visit(block):
+        statements = []
+        for stmt in block.statements:
+            if isinstance(stmt, OmpParallel) and stmt.reduction and rng.random() < 0.5:
+                stmt.reduction = None
+            for child in child_blocks(stmt):
+                visit(child)
+            if isinstance(stmt, Critical) and rng.random() < 0.5:
+                statements.extend(stmt.body.statements)
+            else:
+                statements.append(stmt)
+        block.statements = statements
+    visit(program.body)
+    return program
+
+
+def test_repair_leaves_no_race_the_validator_can_see():
+    base = GeneratorParams(num_threads=4, **PAPER)
+    rng = Random(0)
+    rewritten = 0
+    for seed in range(300):
+        mutated = _mutate(generate_program(replace(base, rng_seed=seed)), rng)
+        fixed = enforce_race_freedom(mutated)
+        assert not [v for v in validate_program(fixed, base) if v.rule == "race"]
+        assert enforce_race_freedom(fixed) == fixed
+        rewritten += fixed != mutated
+    assert rewritten >= 30  # the mutations do inject races
 
 
 def test_unprotectable_prelude_write_is_an_internal_error():

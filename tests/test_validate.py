@@ -88,6 +88,17 @@ def test_nested_parallel_flagged():
     assert "omp.nested_parallel" in rules(violations)
 
 
+def test_write_in_a_region_nested_inside_a_critical_is_a_race():
+    # the nested team does not hold the enclosing critical's lock
+    inner = region(good_region_body([Assignment(VarTerm(COMP), "+=", Num("1.0"))]))
+    outer = region([TempDecl("double", "var_9", Num("0.0")),
+                    ForLoop("i_1", 10, omp_for=True,
+                            body=Block([Critical(Block([inner]))]))])
+    violations = validate_program(program(Block([outer])), PARAMS)
+    assert [v.path for v in violations if v.rule == "race"] == [
+        "body[0].body[1].body[0].body[0].body[1].body[0]"]
+
+
 def test_region_shape_requires_trailing_loop():
     bad = region([TempDecl("double", "var_9", Num("0.0"))])
     assert "grammar.region_shape" in rules(validate_program(program(Block([bad])),
