@@ -2,14 +2,19 @@
 execute each binary on every input, and persist run records.
 
 Compilation fans out across a thread pool; timed executions are strictly
-serialized so measurements never overlap. Records append to a line-delimited
-log as they complete, so an interrupted campaign resumes without duplicating
-work. A hanging binary first receives SIGINT and is killed after a grace
-period.
+serialized so measurements never overlap. Both stages are content-addressed:
+a binary is rebuilt only when its build key (source, toolchain, compiler
+identity) changes, and a record is kept on resume only when its stamp
+(binary, input, run settings) still matches. Records append to a
+line-delimited log as they complete, so an interrupted campaign resumes
+without duplicating work. A hanging binary first receives SIGINT and is
+killed after a grace period.
 """
 
 from __future__ import annotations
 
+import fcntl
+import hashlib
 import json
 import os
 import shlex
@@ -60,6 +65,10 @@ class ToolchainSpec:
                 argv.append(word.replace("{src}", src).replace("{out}", out))
         return argv
 
+    @property
+    def compiler(self) -> str:
+        return shlex.split(self.template)[0]
+
     def runtime_env(self) -> dict[str, str]:
         merged = dict(os.environ)
         merged.update(self.env)
@@ -76,6 +85,7 @@ class RunRecord:
     time_us: Optional[int] = None
     comp: Optional[str] = None
     exit: Optional[str] = None
+    stamp: Optional[str] = None  # see _run_stamp; None in logs that predate it
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -174,6 +184,7 @@ def generate_tests(config: CampaignConfig) -> list[tuple[int, int]]:
 class CompileResult:
     ok: bool
     diagnostics: str = ""
+    cached: bool = False  # the build key matched: nothing was compiled
 
 
 def compile_test(source: Path, toolchain: ToolchainSpec, out: Path) -> CompileResult:
@@ -190,9 +201,57 @@ def compile_test(source: Path, toolchain: ToolchainSpec, out: Path) -> CompileRe
     return CompileResult(True, diagnostics)
 
 
+def _digest(*parts) -> str:
+    """sha256 of the parts as one JSON list, so that no two lists collide."""
+    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
+
+
+def _read_key(path: Path) -> Optional[str]:
+    try:
+        return path.read_text()
+    except FileNotFoundError:
+        return None
+
+
+def _compiler_fingerprint(toolchain: ToolchainSpec) -> str:
+    """The compiler's identity: its resolved path, and the output and exit
+    code of `<compiler> --version`."""
+    path = shutil.which(toolchain.compiler)
+    if path is None:
+        raise ToolchainError(
+            f"toolchain {toolchain.id!r}: compiler {toolchain.compiler!r} not found")
+    proc = subprocess.run([path, "--version"], capture_output=True)
+    return _digest(os.path.realpath(path), proc.returncode,
+                   hashlib.sha256(proc.stdout + proc.stderr).hexdigest())
+
+
+def _build_key(source: bytes, toolchain: ToolchainSpec, fingerprint: str) -> str:
+    """What a binary depends on: its source, the toolchain's compile command
+    and environment, and the compiler's fingerprint."""
+    return _digest(hashlib.sha256(source).hexdigest(), toolchain.template,
+                   toolchain.flags, toolchain.env, fingerprint)
+
+
+def _cached_compile(out: Path, key: str) -> Optional[CompileResult]:
+    """The result of the last compile of `out`, if it was made under `key`:
+    the binary, or a failure when only the compile log is there."""
+    if _read_key(out.with_suffix(".key")) != key:
+        return None
+    if out.exists():
+        return CompileResult(True, "cached", cached=True)
+    log = out.with_suffix(".compile.log")
+    if log.exists():
+        return CompileResult(False, log.read_text().strip(), cached=True)
+    return None
+
+
 def build_matrix(config: CampaignConfig) -> dict[tuple[str, int, int], CompileResult]:
-    """Compile every (toolchain, test) pair; compilations run in parallel."""
-    jobs = []
+    """Compile every (toolchain, test) pair whose build key changed;
+    compilations run in parallel. The key of the last compile sits beside
+    the binary in `<binary>.key`."""
+    results: dict[tuple[str, int, int], CompileResult] = {}
+    misses = []
+    fingerprints = {}
     for tc in config.toolchains:
         for group in range(config.n_groups):
             for test in range(config.tests_per_group):
@@ -200,26 +259,33 @@ def build_matrix(config: CampaignConfig) -> dict[tuple[str, int, int], CompileRe
                 if not src.exists():
                     raise CampaignError(
                         f"missing test source {src}; run the generate stage first")
-                jobs.append((tc, group, test, src))
-
-    results: dict[tuple[str, int, int], CompileResult] = {}
+                if tc.compiler not in fingerprints:
+                    fingerprints[tc.compiler] = _compiler_fingerprint(tc)
+                key = _build_key(src.read_bytes(), tc, fingerprints[tc.compiler])
+                cached = _cached_compile(config.binary(tc.id, group, test), key)
+                if cached is None:
+                    misses.append((tc, group, test, src, key))
+                else:
+                    results[(tc.id, group, test)] = cached
 
     def build(job):
-        tc, group, test, src = job
+        tc, group, test, src, key = job
         out = config.binary(tc.id, group, test)
-        if out.exists() and out.stat().st_mtime >= src.stat().st_mtime:
-            return (tc.id, group, test), CompileResult(True, "cached")
+        sidecar = out.with_suffix(".key")
+        # the key is written last, so a compile killed part way leaves none
+        sidecar.unlink(missing_ok=True)
         res = compile_test(src, tc, out)
         log = out.with_suffix(".compile.log")
         log.parent.mkdir(parents=True, exist_ok=True)
         log.write_text(res.diagnostics + "\n")
         if not res.ok and out.exists():
             out.unlink()
+        sidecar.write_text(key)
         return (tc.id, group, test), res
 
     with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 2)) as pool:
-        for key, res in pool.map(build, jobs):
-            results[key] = res
+        for job_key, res in pool.map(build, misses):
+            results[job_key] = res
     return results
 
 
@@ -302,17 +368,23 @@ def execute(binary: Path, args: list[str], timeout_seconds: float,
 
 def load_records(path: Path) -> list[RunRecord]:
     """Every complete record in the log. A final line without its newline is
-    the torn tail of an interrupted write and is ignored."""
+    the torn tail of an interrupted write and is ignored; any other line that
+    is not a record raises CampaignError naming the file and the line."""
     if not Path(path).exists():
         return []
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.endswith("\n"):
                 break
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 records.append(RunRecord.from_json(line))
+            except (ValueError, TypeError) as exc:  # bad JSON, or not a record's fields
+                raise CampaignError(f"{path} line {number}: not a run record "
+                                    f"({type(exc).__name__}: {exc})") from None
     return records
 
 
@@ -325,53 +397,105 @@ def _cut_torn_tail(path: Path) -> None:
             fh.truncate(data.rfind(b"\n") + 1)
 
 
-def execute_matrix(config: CampaignConfig) -> list[RunRecord]:
-    """Execute every (test, input, toolchain) combination not yet recorded.
+def _run_stamp(artifact: str, tokens: list[str], toolchain: ToolchainSpec,
+              config: CampaignConfig) -> str:
+    """What a record depends on: the artifact (the binary's sha256 for a run,
+    the build key for a COMPILE_FAIL), the input and the run settings."""
+    return _digest(artifact, tokens, toolchain.env, float(config.timeout_seconds),
+                   config.repetitions)
 
-    A missing binary beside its compile log is a failed compile; it becomes
-    COMPILE_FAIL records, one per input, so the record count is always
-    |toolchains| x tests x inputs.
+
+@dataclass
+class _RunJob:
+    group: int
+    test: int
+    input: int
+    toolchain: ToolchainSpec
+    binary: Path
+    tokens: list[str]
+    fail_reason: Optional[str]
+    stamp: str
+
+    @property
+    def key(self) -> tuple:
+        return (self.group, self.test, self.input, self.toolchain.id)
+
+
+def _run_jobs(config: CampaignConfig) -> list[_RunJob]:
+    """Every (test, input, toolchain) combination with its current stamp, in
+    log order. A missing binary beside its compile log is a failed compile."""
+    jobs = []
+    for group in range(config.n_groups):
+        for test in range(config.tests_per_group):
+            inputs_path = config.test_inputs(group, test)
+            if not inputs_path.exists():
+                raise CampaignError(
+                    f"missing inputs {inputs_path}; run the generate stage first")
+            inputs = read_inputs_file(inputs_path)[:config.inputs_per_test]
+            for tc in config.toolchains:
+                binary = config.binary(tc.id, group, test)
+                fail_reason = None
+                if binary.exists():
+                    artifact = hashlib.sha256(binary.read_bytes()).hexdigest()
+                else:
+                    log_path = binary.with_suffix(".compile.log")
+                    if not log_path.exists():
+                        raise CampaignError("binary missing; run the build stage first")
+                    fail_reason = f"compile failed; see {log_path}"
+                    artifact = _read_key(binary.with_suffix(".key")) or ""
+                for input_id, tokens in enumerate(inputs):
+                    jobs.append(_RunJob(group, test, input_id, tc, binary, tokens,
+                                        fail_reason,
+                                        _run_stamp(artifact, tokens, tc, config)))
+    return jobs
+
+
+def execute_matrix(config: CampaignConfig) -> list[RunRecord]:
+    """Execute every (test, input, toolchain) combination without a record of
+    its current stamp.
+
+    Records of another stamp, without one, or of a key outside the matrix
+    are stale: the log is rewritten without them before anything is
+    appended. A failed compile becomes COMPILE_FAIL records, one per input,
+    so the record count is always |toolchains| x tests x inputs. The log is
+    locked for the whole call, so two runs never interleave.
     """
     records_path = config.records_path()
-    existing = load_records(records_path)
-    done = {r.key for r in existing}
-    records = list(existing)
     records_path.parent.mkdir(parents=True, exist_ok=True)
-    if records_path.exists():
-        _cut_torn_tail(records_path)
-    env_by_tc = {tc.id: tc.runtime_env() for tc in config.toolchains}
     with open(records_path, "a", encoding="utf-8") as log:
-        for group in range(config.n_groups):
-            for test in range(config.tests_per_group):
-                inputs_path = config.test_inputs(group, test)
-                if not inputs_path.exists():
-                    raise CampaignError(
-                        f"missing inputs {inputs_path}; run the generate stage first")
-                inputs = read_inputs_file(inputs_path)[:config.inputs_per_test]
-                for tc in config.toolchains:
-                    binary = config.binary(tc.id, group, test)
-                    fail_reason = None
-                    if not binary.exists():
-                        log_path = binary.with_suffix(".compile.log")
-                        if not log_path.exists():
-                            raise CampaignError(
-                                "binary missing; run the build stage first")
-                        fail_reason = f"compile failed; see {log_path}"
-                    for input_id, tokens in enumerate(inputs):
-                        key = (group, test, input_id, tc.id)
-                        if key in done:
-                            continue
-                        if fail_reason is not None:
-                            res = ExecResult("COMPILE_FAIL", exit=fail_reason)
-                        else:
-                            res = execute(binary, tokens, config.timeout_seconds,
-                                          config.repetitions, env_by_tc[tc.id])
-                        rec = RunRecord(test=test, group=group, input=input_id,
-                                        toolchain=tc.id, **asdict(res))
-                        log.write(rec.to_json() + "\n")
-                        log.flush()
-                        records.append(rec)
-                        done.add(key)
+        try:
+            fcntl.flock(log.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise CampaignError(
+                f"record log {records_path} is locked by another run") from None
+        jobs = _run_jobs(config)
+        stamps = {job.key: job.stamp for job in jobs}
+        existing = load_records(records_path)
+        kept: dict[tuple, RunRecord] = {}
+        for rec in existing:
+            if stamps.get(rec.key) == rec.stamp:
+                kept.setdefault(rec.key, rec)
+        if len(kept) < len(existing):
+            log.truncate(0)
+            log.writelines(rec.to_json() + "\n" for rec in kept.values())
+            log.flush()
+        else:
+            _cut_torn_tail(records_path)
+        records = list(kept.values())
+        env_by_tc = {tc.id: tc.runtime_env() for tc in config.toolchains}
+        for job in jobs:
+            if job.key in kept:
+                continue
+            if job.fail_reason is not None:
+                res = ExecResult("COMPILE_FAIL", exit=job.fail_reason)
+            else:
+                res = execute(job.binary, job.tokens, config.timeout_seconds,
+                              config.repetitions, env_by_tc[job.toolchain.id])
+            rec = RunRecord(test=job.test, group=job.group, input=job.input,
+                            toolchain=job.toolchain.id, **asdict(res), stamp=job.stamp)
+            log.write(rec.to_json() + "\n")
+            log.flush()
+            records.append(rec)
     return records
 
 
@@ -414,8 +538,7 @@ def _gcc_include_dir() -> Optional[str]:
 
 def probe_toolchain(spec: ToolchainSpec) -> bool:
     """Compile and run a tiny OpenMP program under the toolchain."""
-    argv0 = shlex.split(spec.template)[0]
-    if shutil.which(argv0) is None:
+    if shutil.which(spec.compiler) is None:
         return False
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "probe.cpp"
@@ -452,12 +575,11 @@ def discover_default_toolchains(optimization: str = "-O3") -> list[ToolchainSpec
     found = []
     seen_compilers = set()
     for spec in candidates:
-        compiler = shlex.split(spec.template)[0]
-        if compiler in seen_compilers:
+        if spec.compiler in seen_compilers:
             continue
         if probe_toolchain(spec):
             found.append(spec)
-            seen_compilers.add(compiler)
+            seen_compilers.add(spec.compiler)
     if len(found) == 1:
         # one compiler is compared with a flag variant of itself, as Csmith
         # does: weaker evidence than two vendors, but still at -O3

@@ -106,9 +106,11 @@ def _run(args) -> int:
             print(f"generated {len(written)} tests under {campaign.campaign_dir}")
             return EXIT_OK
         if args.command == "build":
-            results = build_matrix(campaign)
-            failed = sum(1 for r in results.values() if not r.ok)
-            print(f"compiled {len(results) - failed}/{len(results)} matrix entries")
+            results = build_matrix(campaign).values()
+            failed = sum(1 for r in results if not r.ok)
+            reused = sum(1 for r in results if r.ok and r.cached)
+            print(f"compiled {len(results) - failed - reused}, reused {reused}, "
+                  f"failed {failed} of {len(results)} matrix entries")
             return EXIT_OK
         if args.command == "run":
             records = execute_matrix(campaign)
