@@ -6,7 +6,7 @@ from .analysis import (AnalysisParams, Classification, analyze_campaign,
 from .campaign import (CampaignConfig, RunRecord, ToolchainSpec,
                        discover_default_toolchains, execute, run_campaign)
 from .emit import emit_source
-from .generator import assign_data_sharing, enforce_race_freedom, generate_program
+from .generator import assign_data_sharing, generate_program
 from .inputs import FpClass, gen_input_sample, gen_value, serialize_input
 from .nodes import GeneratorParams, Program
 from .validate import validate_program
@@ -18,7 +18,7 @@ __all__ = [
     "GeneratorParams", "Program", "RunRecord", "ToolchainSpec",
     "analyze_campaign", "assign_data_sharing", "classify_correctness",
     "classify_performance", "comparable", "discover_default_toolchains",
-    "emit_source", "enforce_race_freedom", "execute", "gen_input_sample",
+    "emit_source", "execute", "gen_input_sample",
     "gen_value", "generate_program", "midpoint", "numeric_agreement",
     "run_campaign", "serialize_input", "validate_program",
 ]

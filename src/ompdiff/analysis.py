@@ -221,7 +221,6 @@ class GroupVerdict:
     numeric_agree: bool
     agreement_details: list[str]
     group_anomaly: bool
-    excluded_short: bool
 
 
 @dataclass
@@ -320,7 +319,6 @@ def analyze_campaign(records: Iterable[RunRecord],
             group=g, test=t, input=i, classes=classes, midpoint_us=mid,
             ratios=ratios, numeric_agree=agreement.agree,
             agreement_details=agreement.details, group_anomaly=anomaly,
-            excluded_short=short,
         ))
 
     return OutlierReport(

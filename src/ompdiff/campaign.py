@@ -5,7 +5,7 @@ Compilation fans out across a thread pool; timed executions are strictly
 serialized so measurements never overlap. Both stages are content-addressed:
 a binary is rebuilt only when its build key (source, toolchain, compiler
 identity) changes, and a record is kept on resume only when its stamp
-(binary, input, run settings) still matches. Records append to a
+(build key, input, run settings) still matches. Records append to a
 line-delimited log as they complete, so an interrupted campaign resumes
 without duplicating work. A hanging binary first receives SIGINT and is
 killed after a grace period.
@@ -24,6 +24,7 @@ import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from random import Random
 from typing import Optional
@@ -65,7 +66,7 @@ class ToolchainSpec:
                 argv.append(word.replace("{src}", src).replace("{out}", out))
         return argv
 
-    @property
+    @cached_property  # the matrix asks once per (toolchain, test)
     def compiler(self) -> str:
         return shlex.split(self.template)[0]
 
@@ -206,13 +207,6 @@ def _digest(*parts) -> str:
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
 
 
-def _read_key(path: Path) -> Optional[str]:
-    try:
-        return path.read_text()
-    except FileNotFoundError:
-        return None
-
-
 def _compiler_fingerprint(toolchain: ToolchainSpec) -> str:
     """The compiler's identity: its resolved path, and the output and exit
     code of `<compiler> --version`."""
@@ -235,7 +229,10 @@ def _build_key(source: bytes, toolchain: ToolchainSpec, fingerprint: str) -> str
 def _cached_compile(out: Path, key: str) -> Optional[CompileResult]:
     """The result of the last compile of `out`, if it was made under `key`:
     the binary, or a failure when only the compile log is there."""
-    if _read_key(out.with_suffix(".key")) != key:
+    try:
+        if out.with_suffix(".key").read_text() != key:
+            return None
+    except FileNotFoundError:
         return None
     if out.exists():
         return CompileResult(True, "cached", cached=True)
@@ -245,36 +242,44 @@ def _cached_compile(out: Path, key: str) -> Optional[CompileResult]:
     return None
 
 
+def _matrix(config: CampaignConfig):
+    """Every (toolchain, group, test, build key) of the matrix, in log order
+    (group, test, toolchain). Each compiler's fingerprint is taken once and
+    each source is read once."""
+    fingerprints = {}
+    for group in range(config.n_groups):
+        for test in range(config.tests_per_group):
+            src = config.test_source(group, test)
+            if not src.exists():
+                raise CampaignError(
+                    f"missing test source {src}; run the generate stage first")
+            source = src.read_bytes()
+            for tc in config.toolchains:
+                if tc.compiler not in fingerprints:
+                    fingerprints[tc.compiler] = _compiler_fingerprint(tc)
+                yield tc, group, test, _build_key(source, tc, fingerprints[tc.compiler])
+
+
 def build_matrix(config: CampaignConfig) -> dict[tuple[str, int, int], CompileResult]:
     """Compile every (toolchain, test) pair whose build key changed;
     compilations run in parallel. The key of the last compile sits beside
     the binary in `<binary>.key`."""
     results: dict[tuple[str, int, int], CompileResult] = {}
     misses = []
-    fingerprints = {}
-    for tc in config.toolchains:
-        for group in range(config.n_groups):
-            for test in range(config.tests_per_group):
-                src = config.test_source(group, test)
-                if not src.exists():
-                    raise CampaignError(
-                        f"missing test source {src}; run the generate stage first")
-                if tc.compiler not in fingerprints:
-                    fingerprints[tc.compiler] = _compiler_fingerprint(tc)
-                key = _build_key(src.read_bytes(), tc, fingerprints[tc.compiler])
-                cached = _cached_compile(config.binary(tc.id, group, test), key)
-                if cached is None:
-                    misses.append((tc, group, test, src, key))
-                else:
-                    results[(tc.id, group, test)] = cached
+    for tc, group, test, key in _matrix(config):
+        cached = _cached_compile(config.binary(tc.id, group, test), key)
+        if cached is None:
+            misses.append((tc, group, test, key))
+        else:
+            results[(tc.id, group, test)] = cached
 
     def build(job):
-        tc, group, test, src, key = job
+        tc, group, test, key = job
         out = config.binary(tc.id, group, test)
         sidecar = out.with_suffix(".key")
         # the key is written last, so a compile killed part way leaves none
         sidecar.unlink(missing_ok=True)
-        res = compile_test(src, tc, out)
+        res = compile_test(config.test_source(group, test), tc, out)
         log = out.with_suffix(".compile.log")
         log.parent.mkdir(parents=True, exist_ok=True)
         log.write_text(res.diagnostics + "\n")
@@ -388,20 +393,11 @@ def load_records(path: Path) -> list[RunRecord]:
     return records
 
 
-def _cut_torn_tail(path: Path) -> None:
-    """Drop a torn final line, so that the next append starts a line of its
-    own; a log that ends in a newline is left untouched."""
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        if data and not data.endswith(b"\n"):
-            fh.truncate(data.rfind(b"\n") + 1)
-
-
-def _run_stamp(artifact: str, tokens: list[str], toolchain: ToolchainSpec,
-              config: CampaignConfig) -> str:
-    """What a record depends on: the artifact (the binary's sha256 for a run,
-    the build key for a COMPILE_FAIL), the input and the run settings."""
-    return _digest(artifact, tokens, toolchain.env, float(config.timeout_seconds),
+def _run_stamp(build_key: str, tokens: list[str], toolchain: ToolchainSpec,
+               config: CampaignConfig) -> str:
+    """What a record depends on: the binary's build key, the input and the
+    run settings."""
+    return _digest(build_key, tokens, toolchain.env, float(config.timeout_seconds),
                    config.repetitions)
 
 
@@ -413,7 +409,7 @@ class _RunJob:
     toolchain: ToolchainSpec
     binary: Path
     tokens: list[str]
-    fail_reason: Optional[str]
+    compiled: bool
     stamp: str
 
     @property
@@ -423,30 +419,24 @@ class _RunJob:
 
 def _run_jobs(config: CampaignConfig) -> list[_RunJob]:
     """Every (test, input, toolchain) combination with its current stamp, in
-    log order. A missing binary beside its compile log is a failed compile."""
+    log order. Every binary must be current: `_cached_compile` under its
+    build key finds it, or finds its compile failed."""
     jobs = []
-    for group in range(config.n_groups):
-        for test in range(config.tests_per_group):
+    inputs = {}
+    for tc, group, test, key in _matrix(config):
+        if (group, test) not in inputs:
             inputs_path = config.test_inputs(group, test)
             if not inputs_path.exists():
                 raise CampaignError(
                     f"missing inputs {inputs_path}; run the generate stage first")
-            inputs = read_inputs_file(inputs_path)[:config.inputs_per_test]
-            for tc in config.toolchains:
-                binary = config.binary(tc.id, group, test)
-                fail_reason = None
-                if binary.exists():
-                    artifact = hashlib.sha256(binary.read_bytes()).hexdigest()
-                else:
-                    log_path = binary.with_suffix(".compile.log")
-                    if not log_path.exists():
-                        raise CampaignError("binary missing; run the build stage first")
-                    fail_reason = f"compile failed; see {log_path}"
-                    artifact = _read_key(binary.with_suffix(".key")) or ""
-                for input_id, tokens in enumerate(inputs):
-                    jobs.append(_RunJob(group, test, input_id, tc, binary, tokens,
-                                        fail_reason,
-                                        _run_stamp(artifact, tokens, tc, config)))
+            inputs[group, test] = read_inputs_file(inputs_path)[:config.inputs_per_test]
+        binary = config.binary(tc.id, group, test)
+        built = _cached_compile(binary, key)
+        if built is None:
+            raise CampaignError(f"{binary} is out of date; run the build stage first")
+        for input_id, tokens in enumerate(inputs[group, test]):
+            jobs.append(_RunJob(group, test, input_id, tc, binary, tokens, built.ok,
+                                _run_stamp(key, tokens, tc, config)))
     return jobs
 
 
@@ -454,43 +444,44 @@ def execute_matrix(config: CampaignConfig) -> list[RunRecord]:
     """Execute every (test, input, toolchain) combination without a record of
     its current stamp.
 
-    Records of another stamp, without one, or of a key outside the matrix
-    are stale: the log is rewritten without them before anything is
-    appended. A failed compile becomes COMPILE_FAIL records, one per input,
-    so the record count is always |toolchains| x tests x inputs. The log is
-    locked for the whole call, so two runs never interleave.
+    Nothing is created unless every binary is current. Records of another
+    stamp, without one, or of a key outside the matrix are stale: the log is
+    rewritten without them, and without a torn final line, before anything
+    is appended. A failed compile becomes COMPILE_FAIL records, one per
+    input, so the record count is always |toolchains| x tests x inputs. The
+    log is locked for the whole call, so two runs never interleave.
     """
+    jobs = _run_jobs(config)
+    stamps = {job.key: job.stamp for job in jobs}
     records_path = config.records_path()
-    records_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(records_path, "a", encoding="utf-8") as log:
+    with open(records_path, "a+", encoding="utf-8") as log:
         try:
             fcntl.flock(log.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise CampaignError(
                 f"record log {records_path} is locked by another run") from None
-        jobs = _run_jobs(config)
-        stamps = {job.key: job.stamp for job in jobs}
         existing = load_records(records_path)
         kept: dict[tuple, RunRecord] = {}
         for rec in existing:
             if stamps.get(rec.key) == rec.stamp:
                 kept.setdefault(rec.key, rec)
-        if len(kept) < len(existing):
+        size = os.fstat(log.fileno()).st_size
+        torn = size > 0 and os.pread(log.fileno(), 1, size - 1) != b"\n"
+        if len(kept) < len(existing) or torn:
             log.truncate(0)
             log.writelines(rec.to_json() + "\n" for rec in kept.values())
             log.flush()
-        else:
-            _cut_torn_tail(records_path)
         records = list(kept.values())
         env_by_tc = {tc.id: tc.runtime_env() for tc in config.toolchains}
         for job in jobs:
             if job.key in kept:
                 continue
-            if job.fail_reason is not None:
-                res = ExecResult("COMPILE_FAIL", exit=job.fail_reason)
-            else:
+            if job.compiled:
                 res = execute(job.binary, job.tokens, config.timeout_seconds,
                               config.repetitions, env_by_tc[job.toolchain.id])
+            else:
+                res = ExecResult("COMPILE_FAIL", exit="compile failed; see "
+                                 f"{job.binary.with_suffix('.compile.log')}")
             rec = RunRecord(test=job.test, group=job.group, input=job.input,
                             toolchain=job.toolchain.id, **asdict(res), stamp=job.stamp)
             log.write(rec.to_json() + "\n")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -199,8 +198,7 @@ class _Validator:
     def race_rules(self, stmt: Assignment, env: _Env, path: str) -> None:
         """Writes inside a region must be thread-id indexed, reduction-covered,
         or inside a critical section; clause-private and region-local targets
-        are exempt because each thread owns its copy. This is the only place
-        the rule is written: the repair pass wraps exactly what it flags."""
+        are exempt because each thread owns its copy."""
         if env.region is None or env.in_critical:
             return
         tgt = stmt.target
@@ -290,19 +288,3 @@ class _Validator:
 def validate_program(program: Program, params: GeneratorParams) -> list[Violation]:
     """Every invariant violation in the AST; an empty list means accept."""
     return _Validator(program, params).run()
-
-
-def locate(program: Program, path: str) -> tuple[Block, int, bool]:
-    """The block and index of the statement that a violation path such as
-    `body[0].body[2]` names, and whether the path passes through a loop
-    inside its innermost parallel region."""
-    *outer, last = map(int, re.findall(r"\[(\d+)\]", path))
-    block, region, in_region_loop = program.body, False, False
-    for idx in outer:
-        stmt = block.statements[idx]
-        if isinstance(stmt, OmpParallel):
-            region, in_region_loop = True, False
-        elif isinstance(stmt, ForLoop):
-            in_region_loop = region
-        block = stmt.body
-    return block, last, in_region_loop

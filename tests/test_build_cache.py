@@ -6,7 +6,6 @@ so a binary changes exactly when its source or flags change, and it fails
 when `--fail` is among its flags.
 """
 
-import shutil
 import threading
 import time
 from dataclasses import replace
@@ -22,7 +21,8 @@ from ompdiff.campaign import (CampaignError, RunRecord, ToolchainSpec,
 from ompdiff.cli import EXIT_ERROR, main
 from ompdiff.config import load_config
 
-from test_campaign import TAME, _config, fixtures, script  # noqa: F401
+from test_campaign import (TAME, _config, copying_toolchains,  # noqa: F401
+                           fixtures, script)
 
 FAKECC = """
     import hashlib, os, sys
@@ -173,19 +173,10 @@ def test_other_seed_reruns_every_record_and_analyze_sees_only_new_stamps(
     assert load_records(cfg.records_path()) == analyzed
 
 
-def _stand_in_binaries(cfg, binary):
-    for tc in cfg.toolchains:
-        for test in range(cfg.tests_per_group):
-            out = cfg.binary(tc.id, 0, test)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy(binary, out)
-
-
 def test_records_without_stamps_are_rerun_once(tmp_path, fixtures):
-    cfg = _config(tmp_path, [ToolchainSpec(id=t, template="cc {src} -o {out}")
-                             for t in ("a", "b")])
+    cfg = _config(tmp_path, copying_toolchains(tmp_path, fixtures["ok"]))
     generate_tests(cfg)
-    _stand_in_binaries(cfg, fixtures["ok"])
+    build_matrix(cfg)
     finished = execute_matrix(cfg)
     log = cfg.records_path()
     log.write_text("".join(replace(r, stamp=None).to_json() + "\n" for r in finished))
@@ -253,11 +244,11 @@ def test_second_run_fails_while_the_first_holds_the_lock(tmp_path, capsys):
         print("comp=1.5")
         print("time_us=1234")
     """)
-    cfg = _config(tmp_path, [ToolchainSpec(id=t, template="cc {src} -o {out}")
-                             for t in ("a", "b")], tests_per_group=1, inputs_per_test=1)
-    cfg = load_config(_cli_config(tmp_path, cfg)).campaign
+    cfg = _config(tmp_path, copying_toolchains(tmp_path, blocker),
+                  tests_per_group=1, inputs_per_test=1)
     generate_tests(cfg)
-    _stand_in_binaries(cfg, blocker)
+    build_matrix(cfg)
+    cfg = load_config(_cli_config(tmp_path, cfg)).campaign
 
     errors = []
 
@@ -305,3 +296,38 @@ def test_corrupt_mid_log_line_names_the_file_and_the_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {log} line 4: not a run record (JSONDecodeError: ")
     assert err.count("\n") == 1
+
+
+def test_run_after_a_new_generate_refuses_and_leaves_the_log_byte_identical(
+        tmp_path, fakecc, capsys):
+    cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"], ["-O0"]))
+    argv = ["--config", _cli_config(tmp_path, cfg)]
+    assert main(["all"] + argv) == 0
+    log = cfg.records_path().read_bytes()
+    assert main(["generate", "--seed", "7"] + argv) == 0
+    capsys.readouterr()
+    assert main(["run"] + argv) == EXIT_ERROR
+    assert "run the build stage first" in capsys.readouterr().err
+    assert cfg.records_path().read_bytes() == log
+
+
+def test_run_refuses_a_binary_without_its_key(tmp_path, fakecc, capsys):
+    cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"], ["-O0"]))
+    argv = ["--config", _cli_config(tmp_path, cfg)]
+    assert main(["all"] + argv) == 0
+    victim = cfg.binary("t1", 0, 1)
+    victim.with_suffix(".key").unlink()
+    capsys.readouterr()
+    assert main(["run"] + argv) == EXIT_ERROR
+    assert capsys.readouterr().err == \
+        f"error: {victim} is out of date; run the build stage first\n"
+
+
+def test_run_into_an_empty_dir_creates_nothing_and_analyze_then_fails(
+        tmp_path, fakecc, capsys):
+    cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"], ["-O0"]))
+    argv = ["--config", _cli_config(tmp_path, cfg)]
+    assert main(["run"] + argv) == EXIT_ERROR
+    assert "run the generate stage first" in capsys.readouterr().err
+    assert not cfg.campaign_dir.exists()
+    assert main(["analyze"] + argv) == EXIT_ERROR

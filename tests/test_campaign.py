@@ -1,5 +1,3 @@
-import os
-import shutil
 import stat
 import textwrap
 from dataclasses import replace
@@ -114,16 +112,22 @@ def test_record_json_roundtrip():
     assert RunRecord.from_json(rec.to_json()) == rec
 
 
+def copying_toolchains(tmp_path, binary, ids=("a", "b")):
+    """Toolchains whose stand-in compiler copies `binary` to {out}, so that
+    `build_matrix` makes stand-in binaries with current build keys."""
+    cc = script(tmp_path / "copycc.py", """
+        import shutil, sys
+        if sys.argv[1:] != ["--version"]:
+            shutil.copy(sys.argv[1], sys.argv[-1])
+    """)
+    return [ToolchainSpec(id=t, template=f"{cc} {binary} {{src}} -o {{out}}")
+            for t in ids]
+
+
 def test_torn_final_record_is_cut_before_resume(tmp_path, fixtures):
-    # stand-in binaries: execute_matrix only runs what the build left behind
-    cfg = _config(tmp_path, [ToolchainSpec(id=t, template="cc {src} -o {out}")
-                             for t in ("a", "b")])
+    cfg = _config(tmp_path, copying_toolchains(tmp_path, fixtures["ok"]))
     generate_tests(cfg)
-    for tc in cfg.toolchains:
-        for test in range(cfg.tests_per_group):
-            binary = cfg.binary(tc.id, 0, test)
-            binary.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy(fixtures["ok"], binary)
+    build_matrix(cfg)
     finished = execute_matrix(cfg)
     log = cfg.records_path()
     log.write_bytes(log.read_bytes()[:-20])  # killed in mid-write
