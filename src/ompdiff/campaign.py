@@ -260,13 +260,16 @@ def _matrix(config: CampaignConfig):
                 yield tc, group, test, _build_key(source, tc, fingerprints[tc.compiler])
 
 
-def build_matrix(config: CampaignConfig) -> dict[tuple[str, int, int], CompileResult]:
+def build_matrix(config: CampaignConfig, *, matrix: Optional[list] = None
+                 ) -> dict[tuple[str, int, int], CompileResult]:
     """Compile every (toolchain, test) pair whose build key changed;
     compilations run in parallel. The key of the last compile sits beside
-    the binary in `<binary>.key`."""
+    the binary in `<binary>.key`. `matrix`, when given, is
+    `list(_matrix(config))` taken by the caller, so that a pipeline that
+    also runs takes each compiler's fingerprint once."""
     results: dict[tuple[str, int, int], CompileResult] = {}
     misses = []
-    for tc, group, test, key in _matrix(config):
+    for tc, group, test, key in _matrix(config) if matrix is None else matrix:
         cached = _cached_compile(config.binary(tc.id, group, test), key)
         if cached is None:
             misses.append((tc, group, test, key))
@@ -417,13 +420,14 @@ class _RunJob:
         return (self.group, self.test, self.input, self.toolchain.id)
 
 
-def _run_jobs(config: CampaignConfig) -> list[_RunJob]:
-    """Every (test, input, toolchain) combination with its current stamp, in
-    log order. Every binary must be current: `_cached_compile` under its
-    build key finds it, or finds its compile failed."""
+def _run_jobs(config: CampaignConfig, matrix) -> list[_RunJob]:
+    """Every (test, input, toolchain) combination of `matrix`, as `_matrix`
+    yields it, with its current stamp, in log order. Every binary must be
+    current: `_cached_compile` under its build key finds it, or finds its
+    compile failed."""
     jobs = []
     inputs = {}
-    for tc, group, test, key in _matrix(config):
+    for tc, group, test, key in matrix:
         if (group, test) not in inputs:
             inputs_path = config.test_inputs(group, test)
             if not inputs_path.exists():
@@ -440,9 +444,10 @@ def _run_jobs(config: CampaignConfig) -> list[_RunJob]:
     return jobs
 
 
-def execute_matrix(config: CampaignConfig) -> list[RunRecord]:
+def execute_matrix(config: CampaignConfig, *, matrix: Optional[list] = None
+                   ) -> list[RunRecord]:
     """Execute every (test, input, toolchain) combination without a record of
-    its current stamp.
+    its current stamp. `matrix` is as for `build_matrix`.
 
     Nothing is created unless every binary is current. Records of another
     stamp, without one, or of a key outside the matrix are stale: the log is
@@ -451,7 +456,7 @@ def execute_matrix(config: CampaignConfig) -> list[RunRecord]:
     input, so the record count is always |toolchains| x tests x inputs. The
     log is locked for the whole call, so two runs never interleave.
     """
-    jobs = _run_jobs(config)
+    jobs = _run_jobs(config, _matrix(config) if matrix is None else matrix)
     stamps = {job.key: job.stamp for job in jobs}
     records_path = config.records_path()
     with open(records_path, "a+", encoding="utf-8") as log:
@@ -494,8 +499,9 @@ def run_campaign(config: CampaignConfig) -> list[RunRecord]:
     """Full generate -> build -> execute cycle; resumable at the record level."""
     config.validate()
     generate_tests(config)
-    build_matrix(config)
-    return execute_matrix(config)
+    matrix = list(_matrix(config))
+    build_matrix(config, matrix=matrix)
+    return execute_matrix(config, matrix=matrix)
 
 
 # --- local toolchain discovery ---

@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import analyze_campaign, render_table, write_verdicts
-from .campaign import (CampaignError, ToolchainError, build_matrix,
+from .campaign import (CampaignError, ToolchainError, _matrix, build_matrix,
                        execute_matrix, generate_tests, load_records)
 from .config import ConfigError, LoadedConfig, describe, load_config
 
@@ -118,10 +118,11 @@ def _run(args) -> int:
             return EXIT_OK
         if args.command == "analyze":
             return _analyze(loaded)
-        # all: full pipeline
+        # all: full pipeline, with the build keys computed once for both stages
         generate_tests(campaign)
-        build_matrix(campaign)
-        execute_matrix(campaign)
+        matrix = list(_matrix(campaign))
+        build_matrix(campaign, matrix=matrix)
+        execute_matrix(campaign, matrix=matrix)
         return _analyze(loaded)
     except (CampaignError, ToolchainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

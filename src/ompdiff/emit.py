@@ -4,21 +4,29 @@ The emitted file contains the `compute` kernel, a `main` that parses one
 positional argument per parameter (hex-significand tokens for floating
 point, so values round-trip bit-exactly), fills each array with its seed
 value, and prints exactly two records: `comp=<value>` and `time_us=<n>`.
-Timestamps are taken immediately around the compute call at microsecond
-granularity.
+
+The translation unit is lean, because its headers used to cost more to
+compile than the kernel: it includes only <cstdio>, <cstdlib>, <time.h> and
+<omp.h>. Each math function the kernel calls is declared once with an
+`extern "C"` prototype and called in the program's precision (`sinf` in
+single, `sin` in double), which is the function the `std::` overload of the
+same argument picks. `time_us` is the CLOCK_MONOTONIC time of the compute
+call alone, in microseconds, truncated, as a `duration_cast<microseconds>`
+of a `steady_clock` difference computes it.
 """
 
 from __future__ import annotations
 
 from .nodes import (
-    COMP, THREAD_ID, ArrayRef, Assignment, BinOp, Block, Critical, Expr,
-    ForLoop, GeneratorParams, IfBlock, MathCall, Num, OmpParallel, Paren,
+    COMP, MATH_FUNCS, THREAD_ID, ArrayRef, Assignment, BinOp, Block, Critical,
+    Expr, ForLoop, GeneratorParams, IfBlock, MathCall, Num, OmpParallel, Paren,
     Program, TempDecl, VarTerm, leaves, walk_statements,
 )
 from .validate import validate_program
 
 CTYPE = {"single": "float", "double": "double"}
 STRTO = {"single": "strtof", "double": "strtod"}
+MATH_SUFFIX = {"single": "f", "double": ""}
 
 
 class EmitError(ValueError):
@@ -43,7 +51,9 @@ class _Emitter:
     def __init__(self, program: Program):
         self.program = program
         self.ctype = CTYPE[program.precision]
+        self.math_suffix = MATH_SUFFIX[program.precision]
         self.int_names = {d.name for d in program.params if d.kind == "int-scalar"}
+        self.math_called: set[str] = set()  # filled while expr() emits calls
         self.lines: list[str] = []
 
     def put(self, depth: int, text: str) -> None:
@@ -63,7 +73,8 @@ class _Emitter:
         if isinstance(e, Paren):
             return f"({self.expr(e.inner)})"
         if isinstance(e, MathCall):
-            return f"std::{e.func}({self.expr(e.arg)})"
+            self.math_called.add(e.func)
+            return f"{e.func}{self.math_suffix}({self.expr(e.arg)})"
         if isinstance(e, BinOp):
             return f"{self.operand(e.lhs)} {e.op} {self.operand(e.rhs)}"
         raise EmitError(f"cannot emit {type(e).__name__}")
@@ -142,12 +153,10 @@ class _Emitter:
 
     def emit(self) -> str:
         p = self.program
-        self.put(0, "#include <chrono>")
-        self.put(0, "#include <cmath>")
-        self.put(0, "#include <cstdio>")
-        self.put(0, "#include <cstdlib>")
-        self.put(0, "#include <omp.h>")
+        for header in ("cstdio", "cstdlib", "time.h", "omp.h"):
+            self.put(0, f"#include <{header}>")
         self.put(0, "")
+        prototypes_at = len(self.lines)  # filled in once compute is emitted
         zero = "0.0f" if p.precision == "single" else "0.0"
         self.put(0, f"{self.ctype} {COMP} = {zero};")
         self.put(0, "")
@@ -156,6 +165,10 @@ class _Emitter:
         self.block(p.body, 1)
         self.put(0, "}")
         self.put(0, "")
+        if self.math_called:
+            self.lines[prototypes_at:prototypes_at] = [
+                f'extern "C" {self.ctype} {f}{self.math_suffix}({self.ctype}) noexcept;'
+                for f in MATH_FUNCS if f in self.math_called] + [""]
         self.put(0, "int main(int argc, char* argv[]) {")
         self.put(1, f"if (argc != {len(p.params) + 1}) {{")
         self.put(2, f'fprintf(stderr, "expected {len(p.params)} arguments\\n");')
@@ -174,11 +187,12 @@ class _Emitter:
                 self.put(2, f"{d.name}[q] = {d.name}_seed;")
                 self.put(1, "}")
         args = ", ".join(d.name for d in p.params)
-        self.put(1, "auto t_start = std::chrono::steady_clock::now();")
+        self.put(1, "struct timespec t_start, t_end;")
+        self.put(1, "clock_gettime(CLOCK_MONOTONIC, &t_start);")
         self.put(1, f"compute({args});")
-        self.put(1, "auto t_end = std::chrono::steady_clock::now();")
-        self.put(1, "long long elapsed = std::chrono::duration_cast"
-                    "<std::chrono::microseconds>(t_end - t_start).count();")
+        self.put(1, "clock_gettime(CLOCK_MONOTONIC, &t_end);")
+        self.put(1, "long long elapsed = ((t_end.tv_sec - t_start.tv_sec) * 1000000000LL"
+                    " + (t_end.tv_nsec - t_start.tv_nsec)) / 1000;")
         self.put(1, f'printf("comp=%.17g\\n", (double){COMP});')
         self.put(1, 'printf("time_us=%lld\\n", elapsed);')
         for d in p.params:

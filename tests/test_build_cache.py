@@ -331,3 +331,17 @@ def test_run_into_an_empty_dir_creates_nothing_and_analyze_then_fails(
     assert "run the generate stage first" in capsys.readouterr().err
     assert not cfg.campaign_dir.exists()
     assert main(["analyze"] + argv) == EXIT_ERROR
+
+
+def test_all_takes_each_compilers_fingerprint_once(tmp_path, fakecc, monkeypatch):
+    other = script(tmp_path / "othercc.py", FAKECC)
+    toolchains = _toolchains(fakecc, ["-O2"], ["-O0"]) + [
+        ToolchainSpec(id="o", template=f"{other} {{flags}} {{src}} -o {{out}}")]
+    cfg = _config(tmp_path, toolchains)
+    calls = []
+    real = campaign._compiler_fingerprint
+    monkeypatch.setattr(campaign, "_compiler_fingerprint",
+                        lambda tc: calls.append(tc.compiler) or real(tc))
+    assert main(["all", "--config", _cli_config(tmp_path, cfg)]) == 0
+    assert sorted(calls) == sorted([str(fakecc), str(other)])
+    assert len(load_records(cfg.records_path())) == 3 * 2 * 2

@@ -1,12 +1,17 @@
+import ctypes
+import ctypes.util
+import re
 import subprocess
 
 import pytest
 
-from ompdiff.emit import EmitError, emit_source
+from ompdiff.emit import CTYPE, EmitError, emit_source
 from ompdiff.generator import generate_program
 from ompdiff.inputs import gen_input_sample, serialize_input
-from ompdiff.nodes import (COMP, Assignment, Block, GeneratorParams, Num,
-                           OmpParallel, Program, VarTerm, walk_statements)
+from ompdiff.nodes import (COMP, MATH_FUNCS, Assignment, BinOp, Block,
+                           GeneratorParams, IfBlock, MathCall, Num, OmpParallel,
+                           ParamDecl, Paren, Program, TempDecl, VarTerm,
+                           walk_statements)
 from random import Random
 
 PAPER = dict(max_expression_size=5, max_nesting_levels=3, max_lines_in_block=10,
@@ -96,3 +101,102 @@ def test_wrong_arity_exits_nonzero(toolchain, tmp_path):
     assert built.returncode == 0, built.stderr
     run = subprocess.run([str(out)], capture_output=True, text=True, timeout=30)
     assert run.returncode == 2
+
+
+def _math_calls(e) -> set[str]:
+    if isinstance(e, MathCall):
+        return {e.func} | _math_calls(e.arg)
+    if isinstance(e, BinOp):
+        return _math_calls(e.lhs) | _math_calls(e.rhs)
+    if isinstance(e, Paren):
+        return _math_calls(e.inner)
+    return set()
+
+
+def _called(program) -> set[str]:
+    called = set()
+    for stmt in walk_statements(program.body):
+        if isinstance(stmt, Assignment):
+            called |= _math_calls(stmt.expr)
+        elif isinstance(stmt, TempDecl):
+            called |= _math_calls(stmt.init)
+        elif isinstance(stmt, IfBlock):
+            called |= _math_calls(stmt.cond.rhs)
+    return called
+
+
+def _paper_sources(n=200):
+    for seed in range(n):
+        params = GeneratorParams(rng_seed=seed, num_threads=2, **PAPER)
+        program = generate_program(params)
+        yield program, emit_source(program, params)
+
+
+def test_translation_unit_is_lean_and_declares_each_called_math_function_once():
+    seen = {"single": 0, "double": 0}
+    for program, source in _paper_sources():
+        assert "<cmath>" not in source and "<chrono>" not in source
+        assert "std::" not in source
+        ctype = CTYPE[program.precision]
+        suffix = "f" if program.precision == "single" else ""
+        called = _called(program)
+        seen[program.precision] += bool(called)
+        for func in MATH_FUNCS:
+            prototypes = re.findall(rf'^extern "C" .*\b{func}f?\(.*$', source, re.M)
+            if func in called:
+                assert prototypes == [
+                    f'extern "C" {ctype} {func}{suffix}({ctype}) noexcept;']
+                assert re.search(rf"\b{func}{suffix}\(", source.split("void compute")[1])
+            else:
+                assert prototypes == []
+    assert min(seen.values()) > 0  # both precisions call math functions
+
+
+def test_clock_is_read_right_before_and_right_after_compute():
+    for _, source in _paper_sources():
+        lines = [line.strip() for line in source.splitlines()]
+        at = [i for i, line in enumerate(lines) if line.startswith("compute(")]
+        assert len(at) == 1
+        assert lines[at[0] - 1] == "clock_gettime(CLOCK_MONOTONIC, &t_start);"
+        assert lines[at[0] + 1] == "clock_gettime(CLOCK_MONOTONIC, &t_end);"
+        assert sum("clock_gettime" in line for line in lines) == 2
+
+
+def _libm(name: str, ctype):
+    fn = getattr(ctypes.CDLL(ctypes.util.find_library("m")), name)
+    fn.argtypes, fn.restype = [ctype], ctype
+    return fn
+
+
+# Float arguments at which sinf, cosf, expf and cbrtf differ from the double
+# function's result rounded to float, so a single-precision program that
+# called the double function would print another value. fabs is exact in both.
+ORACLE_ARGS = {"sin": "0x1.6ec3f2p-4", "cos": "-0x1.5b86c2p+3", "exp": "0x1.507756p+0",
+               "cbrt": "0x1.1e04dcp+4", "fabs": "-0x1.4ccccep+0"}
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("func", MATH_FUNCS)
+def test_compiled_math_call_equals_libm_in_the_programs_precision(
+        toolchain, tmp_path, func, precision):
+    x = float.fromhex(ORACLE_ARGS[func])
+    if precision == "single":
+        want = _libm(func + "f", ctypes.c_float)(x)
+        if func != "fabs":
+            assert want != ctypes.c_float(_libm(func, ctypes.c_double)(x)).value
+    else:
+        want = _libm(func, ctypes.c_double)(x)
+    program = Program(params=[ParamDecl("x", "fp-scalar", precision)],
+                      body=Block([Assignment(VarTerm(COMP), "=",
+                                             MathCall(func, VarTerm("x")))]),
+                      seed=0, precision=precision, array_size=8)
+    src = tmp_path / f"{func}_{precision}.cpp"
+    src.write_text(emit_source(program, GeneratorParams(array_size=8, num_threads=2)))
+    out = tmp_path / f"{func}_{precision}"
+    built = subprocess.run(toolchain.command(str(src), str(out)),
+                           capture_output=True, text=True, env=toolchain.runtime_env())
+    assert built.returncode == 0, built.stderr
+    run = subprocess.run([str(out), x.hex()], capture_output=True, text=True,
+                         timeout=30)
+    assert run.returncode == 0
+    assert run.stdout.splitlines()[0] == f"comp={'%.17g' % want}"
