@@ -105,13 +105,13 @@ def _has_short_run(times: dict[str, float], params: AnalysisParams) -> bool:
     return any(t < params.min_time_us or t == 0 for t in times.values())
 
 
-def _judge_performance(times: dict[str, float], params: AnalysisParams
+def _judge_performance(times: dict[str, float], params: AnalysisParams, short: bool
                        ) -> tuple[dict[str, Classification], Optional[float]]:
     """Slow/fast verdicts for one group, and the midpoint of the largest
     comparable cluster they were judged against (None when the group gets no
-    performance verdict)."""
+    performance verdict). `short` is `_has_short_run(times, params)`."""
     out = {k: Classification.EXCLUDED for k in times}
-    if len(times) < 3 or _has_short_run(times, params):
+    if len(times) < 3 or short:
         return out, None
     cluster = largest_comparable_subset(times, params.alpha)
     if len(cluster) < 2:
@@ -132,7 +132,7 @@ def _judge_performance(times: dict[str, float], params: AnalysisParams
 def classify_performance(times: dict[str, float],
                          params: AnalysisParams) -> dict[str, Classification]:
     """Slow/fast verdicts for one (test, input) group of OK execution times."""
-    return _judge_performance(times, params)[0]
+    return _judge_performance(times, params, _has_short_run(times, params))[0]
 
 
 @dataclass
@@ -221,6 +221,14 @@ class GroupVerdict:
     numeric_agree: bool
     agreement_details: list[str]
     group_anomaly: bool
+    short: bool  # an OK run fell below min_time_us, so no performance verdict
+    ok_runs: int
+
+
+# the outlier table's column of each counted class
+_COLUMN = {Classification.SLOW: "slow", Classification.FAST: "fast",
+           Classification.CRASH_OUTLIER: "crash", Classification.HANG_OUTLIER: "hang"}
+_PERFORMANCE_OUTLIERS = (Classification.SLOW, Classification.FAST)
 
 
 @dataclass
@@ -228,105 +236,84 @@ class OutlierReport:
     verdicts: list[GroupVerdict]
     toolchains: list[str]
     counts: dict[str, dict[str, int]]  # toolchain -> {slow, fast, crash, hang}
-    groups_total: int
-    groups_analyzed: int  # groups that passed the min-time filter
-    runs_analyzed: int  # OK runs inside those groups
-    groups_excluded_short: int
-    groups_disagreeing: int
-    group_anomalies: int
+
+    @property
+    def groups_total(self) -> int:
+        return len(self.verdicts)
+
+    @property
+    def groups_analyzed(self) -> int:  # groups that passed the min-time filter
+        return sum(not v.short for v in self.verdicts)
+
+    @property
+    def runs_analyzed(self) -> int:  # OK runs inside those groups
+        return sum(v.ok_runs for v in self.verdicts if not v.short)
+
+    @property
+    def groups_excluded_short(self) -> int:
+        return sum(v.short for v in self.verdicts)
+
+    @property
+    def groups_disagreeing(self) -> int:
+        return sum(not v.numeric_agree for v in self.verdicts)
+
+    @property
+    def group_anomalies(self) -> int:
+        return sum(v.group_anomaly for v in self.verdicts)
 
     @property
     def outliers_found(self) -> bool:
         return any(n != 0 for row in self.counts.values() for n in row.values())
 
 
+def _judge_group(key: tuple[int, int, int], recs: dict[str, RunRecord],
+                 params: AnalysisParams) -> GroupVerdict:
+    """Every class of one (group, test, input) group, keyed by toolchain.
+
+    A compile failure is EXCLUDED (a different bug class from CRASH). A run
+    that did not finish OK is judged one-vs-rest against the others that
+    compiled, and is EXCLUDED when there is no other. An OK run gets its
+    performance verdict, which a group with a sub-threshold time never gets.
+    """
+    ran = {tc: r.status for tc, r in recs.items() if r.status != "COMPILE_FAIL"}
+    corr = classify_correctness(ran) if len(ran) >= 2 else CorrectnessResult({}, False)
+    ok = {tc: r for tc, r in recs.items() if r.status == "OK"}
+    times = {tc: float(r.time_us) for tc, r in ok.items()}
+    short = _has_short_run(times, params)
+    perf, mid = _judge_performance(times, params, short)
+    agreement = numeric_agreement({tc: r.comp for tc, r in ok.items()},
+                                  params.numeric_rel_tol) if len(ok) >= 2 \
+        else AgreementResult(True)
+    classes = {tc: perf[tc] if tc in perf
+               else corr.classes.get(tc, Classification.EXCLUDED) for tc in recs}
+    return GroupVerdict(
+        *key, classes=classes, midpoint_us=mid,
+        ratios={tc: t / mid for tc, t in times.items()} if mid is not None else {},
+        numeric_agree=agreement.agree, agreement_details=agreement.details,
+        group_anomaly=corr.group_anomaly, short=short, ok_runs=len(times))
+
+
 def analyze_campaign(records: Iterable[RunRecord],
                      params: AnalysisParams) -> OutlierReport:
-    """Group records by (group, test, input) and classify every run.
+    """Group records by (group, test, input) and judge each group.
 
-    Compile failures are excluded (a different bug class from CRASH); groups
-    containing a sub-threshold time are excluded from performance analysis;
-    groups whose OK runs disagree numerically keep their performance verdicts
-    but are tallied separately from the main outlier counts.
+    Groups whose OK runs disagree numerically keep their performance verdicts,
+    but their slow and fast outliers stay out of the main outlier counts.
     """
     params.validate()
     groups: dict[tuple[int, int, int], dict[str, RunRecord]] = {}
     toolchains: list[str] = []
     for rec in records:
-        key = (rec.group, rec.test, rec.input)
-        groups.setdefault(key, {})[rec.toolchain] = rec
+        groups.setdefault((rec.group, rec.test, rec.input), {})[rec.toolchain] = rec
         if rec.toolchain not in toolchains:
             toolchains.append(rec.toolchain)
-
+    verdicts = [_judge_group(key, groups[key], params) for key in sorted(groups)]
     counts = {tc: {"slow": 0, "fast": 0, "crash": 0, "hang": 0} for tc in toolchains}
-    verdicts: list[GroupVerdict] = []
-    groups_analyzed = 0
-    runs_analyzed = 0
-    excluded_short = 0
-    disagreeing = 0
-    anomalies = 0
-
-    for key in sorted(groups):
-        g, t, i = key
-        recs = groups[key]
-        classes: dict[str, Classification] = {
-            tc: Classification.EXCLUDED for tc in recs if recs[tc].status == "COMPILE_FAIL"
-        }
-        ran = {tc: r for tc, r in recs.items() if r.status != "COMPILE_FAIL"}
-
-        anomaly = False
-        if len(ran) >= 2:
-            corr = classify_correctness({tc: r.status for tc, r in ran.items()})
-            anomaly = corr.group_anomaly
-            for tc, cls in corr.classes.items():
-                if cls in (Classification.CRASH_OUTLIER, Classification.HANG_OUTLIER):
-                    classes[tc] = cls
-                    counts[tc]["crash" if cls is Classification.CRASH_OUTLIER else "hang"] += 1
-                elif ran[tc].status != "OK":
-                    classes[tc] = Classification.NONE
-        else:
-            for tc in ran:
-                classes.setdefault(tc, Classification.EXCLUDED)
-        if anomaly:
-            anomalies += 1
-
-        ok = {tc: r for tc, r in ran.items() if r.status == "OK"}
-        agreement = numeric_agreement({tc: r.comp for tc, r in ok.items()},
-                                      params.numeric_rel_tol) if len(ok) >= 2 \
-            else AgreementResult(True)
-        if not agreement.agree:
-            disagreeing += 1
-
-        times = {tc: float(r.time_us) for tc, r in ok.items()}
-        short = _has_short_run(times, params)
-        if short:
-            excluded_short += 1
-        else:
-            groups_analyzed += 1
-            runs_analyzed += len(times)
-        perf, mid = _judge_performance(times, params)
-        ratios = {tc: t / mid for tc, t in times.items()} if mid is not None else {}
-        # perf covers exactly the OK runs, which never carry correctness flags
-        for tc, cls in perf.items():
-            classes[tc] = cls
-            if agreement.agree:
-                if cls is Classification.SLOW:
-                    counts[tc]["slow"] += 1
-                elif cls is Classification.FAST:
-                    counts[tc]["fast"] += 1
-
-        verdicts.append(GroupVerdict(
-            group=g, test=t, input=i, classes=classes, midpoint_us=mid,
-            ratios=ratios, numeric_agree=agreement.agree,
-            agreement_details=agreement.details, group_anomaly=anomaly,
-        ))
-
-    return OutlierReport(
-        verdicts=verdicts, toolchains=toolchains, counts=counts,
-        groups_total=len(groups), groups_analyzed=groups_analyzed,
-        runs_analyzed=runs_analyzed, groups_excluded_short=excluded_short,
-        groups_disagreeing=disagreeing, group_anomalies=anomalies,
-    )
+    for v in verdicts:
+        for tc, cls in v.classes.items():
+            if cls in _COLUMN and (v.numeric_agree or cls not in _PERFORMANCE_OUTLIERS):
+                counts[tc][_COLUMN[cls]] += 1
+    return OutlierReport(verdicts=verdicts, toolchains=toolchains, counts=counts)
 
 
 def render_table(report: OutlierReport) -> str:
@@ -353,7 +340,7 @@ def render_table(report: OutlierReport) -> str:
         for v in report.verdicts:
             if not v.numeric_agree:
                 flagged = {tc: c.value for tc, c in v.classes.items()
-                           if c in (Classification.SLOW, Classification.FAST)}
+                           if c in _PERFORMANCE_OUTLIERS}
                 lines.append(f"  group {v.group} test {v.test} input {v.input}: "
                              f"{flagged or 'no performance outlier'}; "
                              f"{'; '.join(v.agreement_details)}")

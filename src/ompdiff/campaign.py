@@ -552,23 +552,23 @@ def probe_toolchain(spec: ToolchainSpec) -> bool:
             return False
 
 
-def discover_default_toolchains(optimization: str = "-O3") -> list[ToolchainSpec]:
+def discover_default_toolchains() -> list[ToolchainSpec]:
     """OpenMP toolchains usable on this host, probed with a smoke compile:
     one per working compiler, plus a `<id>-novec` variant when only one
     compiler works."""
     candidates = [
         ToolchainSpec(id="gcc", template="g++ {flags} {src} -o {out}",
-                      flags=[optimization, "-fopenmp"]),
+                      flags=["-O3", "-fopenmp"]),
         ToolchainSpec(id="clang", template="clang++ {flags} {src} -o {out}",
-                      flags=[optimization, "-fopenmp"]),
+                      flags=["-O3", "-fopenmp"]),
         ToolchainSpec(id="intel", template="icpx {flags} {src} -o {out}",
-                      flags=[optimization, "-qopenmp"]),
+                      flags=["-O3", "-qopenmp"]),
     ]
     clang_inc = _gcc_include_dir()
     if clang_inc is not None:
         candidates.insert(2, ToolchainSpec(
             id="clang-libgomp", template="clang++ {flags} {src} -o {out}",
-            flags=[optimization, "-fopenmp=libgomp", f"-I{clang_inc}"]))
+            flags=["-O3", "-fopenmp=libgomp", f"-I{clang_inc}"]))
     found = []
     seen_compilers = set()
     for spec in candidates:

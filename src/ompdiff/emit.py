@@ -20,7 +20,7 @@ from __future__ import annotations
 from .nodes import (
     COMP, MATH_FUNCS, THREAD_ID, ArrayRef, Assignment, BinOp, Block, Critical,
     Expr, ForLoop, GeneratorParams, IfBlock, MathCall, Num, OmpParallel, Paren,
-    Program, TempDecl, VarTerm, leaves, walk_statements,
+    Program, TempDecl, VarTerm,
 )
 from .validate import validate_program
 
@@ -33,20 +33,6 @@ class EmitError(ValueError):
     pass
 
 
-def _uses_thread_id(block: Block) -> bool:
-    terms = []
-    for stmt in walk_statements(block):
-        if isinstance(stmt, Assignment):
-            terms += [stmt.target, *leaves(stmt.expr)]
-        elif isinstance(stmt, TempDecl):
-            terms += leaves(stmt.init)
-        elif isinstance(stmt, IfBlock):
-            terms += [VarTerm(stmt.cond.lhs), *leaves(stmt.cond.rhs)]
-    return any((isinstance(t, VarTerm) and t.name == THREAD_ID)
-               or (isinstance(t, ArrayRef) and t.index == THREAD_ID)
-               for t in terms)
-
-
 class _Emitter:
     def __init__(self, program: Program):
         self.program = program
@@ -54,6 +40,7 @@ class _Emitter:
         self.math_suffix = MATH_SUFFIX[program.precision]
         self.int_names = {d.name for d in program.params if d.kind == "int-scalar"}
         self.math_called: set[str] = set()  # filled while expr() emits calls
+        self.uses_thread_id = False  # set while a region's body is emitted
         self.lines: list[str] = []
 
     def put(self, depth: int, text: str) -> None:
@@ -65,6 +52,7 @@ class _Emitter:
         if isinstance(e, Num):
             return e.text
         if isinstance(e, VarTerm):
+            self.uses_thread_id |= e.name == THREAD_ID
             if e.name in self.int_names or e.name.startswith("i_") or e.name == THREAD_ID:
                 return f"({self.ctype}){e.name}"
             return e.name
@@ -84,6 +72,7 @@ class _Emitter:
         return f"({text})" if isinstance(e, BinOp) else text
 
     def subscript(self, ref: ArrayRef) -> str:
+        self.uses_thread_id |= ref.index == THREAD_ID
         if ref.modulo:
             return f"{ref.array}[{ref.index} % {self.program.array_size}]"
         return f"{ref.array}[{ref.index}]"
@@ -105,6 +94,7 @@ class _Emitter:
         elif isinstance(stmt, TempDecl):
             self.put(depth, f"{CTYPE[stmt.precision]} {stmt.name} = {self.expr(stmt.init)};")
         elif isinstance(stmt, IfBlock):
+            self.uses_thread_id |= stmt.cond.lhs == THREAD_ID
             self.put(depth, f"if ({stmt.cond.lhs} {stmt.cond.op} "
                             f"{self.expr(stmt.cond.rhs)}) {{")
             self.block(stmt.body, depth + 1)
@@ -119,9 +109,12 @@ class _Emitter:
         elif isinstance(stmt, OmpParallel):
             self.put(depth, self.pragma(stmt))
             self.put(depth, "{")
-            if _uses_thread_id(stmt.body):
-                self.put(depth + 1, f"int {THREAD_ID} = omp_get_thread_num();")
+            body_at = len(self.lines)
+            self.uses_thread_id = False  # regions never nest
             self.block(stmt.body, depth + 1)
+            if self.uses_thread_id:
+                self.lines.insert(body_at, "  " * (depth + 1)
+                                  + f"int {THREAD_ID} = omp_get_thread_num();")
             self.put(depth, "}")
         elif isinstance(stmt, Critical):
             self.put(depth, "#pragma omp critical")

@@ -63,8 +63,7 @@ def representable(v: float, precision: str) -> bool:
     return round_to_single(v) == v
 
 
-def satisfies(fp_class: FpClass, v: float, precision: str,
-              decade: float = DECADE) -> bool:
+def satisfies(fp_class: FpClass, v: float, precision: str) -> bool:
     """Class-membership predicate for a given precision."""
     fmt = FORMATS[precision]
     if not representable(v, precision):
@@ -80,9 +79,9 @@ def satisfies(fp_class: FpClass, v: float, precision: str,
     if fp_class is FpClass.NORMAL:
         return is_normal
     if fp_class is FpClass.ALMOST_INFINITY:
-        return is_normal and av >= fmt.max_finite / decade
+        return is_normal and av >= fmt.max_finite / DECADE
     if fp_class is FpClass.ALMOST_SUBNORMAL:
-        return is_normal and av <= fmt.min_normal * decade
+        return is_normal and av <= fmt.min_normal * DECADE
     raise ValueError(fp_class)
 
 
@@ -90,8 +89,7 @@ def _signed(rng: Random, v: float) -> float:
     return -v if rng.random() < 0.5 else v
 
 
-def gen_value(fp_class: FpClass, precision: str, rng: Random,
-              decade: float = DECADE) -> float:
+def gen_value(fp_class: FpClass, precision: str, rng: Random) -> float:
     """Draw one value of the requested class; normals are log-uniform."""
     fmt = FORMATS[precision]
     if fp_class is FpClass.ZERO_POSITIVE:
@@ -106,15 +104,15 @@ def gen_value(fp_class: FpClass, precision: str, rng: Random,
             quantum = math.ldexp(1.0, fmt.min_exp - fmt.significand_bits)
             v = rng.randint(1, 2 ** fmt.significand_bits - 1) * quantum
         elif fp_class is FpClass.ALMOST_INFINITY:
-            v = rng.uniform(fmt.max_finite / decade, fmt.max_finite)
+            v = rng.uniform(fmt.max_finite / DECADE, fmt.max_finite)
         elif fp_class is FpClass.ALMOST_SUBNORMAL:
-            v = rng.uniform(fmt.min_normal, fmt.min_normal * decade)
+            v = rng.uniform(fmt.min_normal, fmt.min_normal * DECADE)
         else:
             raise ValueError(fp_class)
         if precision == "single":
             v = round_to_single(v)
         v = _signed(rng, v)
-        if satisfies(fp_class, v, precision, decade):
+        if satisfies(fp_class, v, precision):
             return v
 
 

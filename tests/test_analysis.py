@@ -1,4 +1,4 @@
-import math
+import json
 from random import Random
 
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from ompdiff.analysis import (AnalysisError, AnalysisParams, Classification,
                               analyze_campaign, classify_correctness,
                               classify_performance, comparable, midpoint,
-                              numeric_agreement)
+                              numeric_agreement, render_table, write_verdicts)
 from ompdiff.campaign import RunRecord
 
 from oracles import classify_bruteforce, correctness_table
@@ -251,3 +251,113 @@ def test_correctness_outlier_never_doubles_as_performance_outlier():
     report = analyze_campaign(records, AnalysisParams())
     assert report.verdicts[0].classes["C"] is Classification.HANG_OUTLIER
     assert report.counts["C"] == {"slow": 0, "fast": 0, "crash": 0, "hang": 1}
+
+
+# One (group, test, input) group of each kind, as {toolchain: (status, time_us, comp)}.
+PINNED_GROUPS = {
+    (0, 0, 0): {"A": ("OK", 100000, "1.5"), "B": ("OK", 105000, "1.5"),  # C slow
+                "C": ("OK", 400000, "1.5"), "D": ("OK", 102000, "1.5")},
+    (0, 1, 0): {"A": ("OK", 100000, "2.5"), "B": ("OK", 110000, "2.5"),  # C fast
+                "C": ("OK", 40000, "2.5"), "D": ("OK", 104000, "2.5")},
+    (0, 2, 1): {"A": ("OK", 200000, "2.0"), "B": ("CRASH", None, None),
+                "C": ("OK", 210000, "2.0"), "D": ("OK", 205000, "2.0")},
+    (1, 0, 0): {"A": ("OK", 150000, "0.5"), "B": ("OK", 150000, "0.5"),
+                "C": ("OK", 151000, "0.5"), "D": ("HANG", None, None)},
+    (1, 1, 2): {"A": ("CRASH", None, None), "B": ("HANG", None, None),  # anomaly
+                "C": ("CRASH", None, None), "D": ("HANG", None, None)},
+    (1, 2, 0): {"A": ("COMPILE_FAIL", None, None), "B": ("OK", 50000, "3.0"),
+                "C": ("OK", 51000, "3.0"), "D": ("OK", 50500, "3.0")},
+    (2, 0, 0): {"A": ("OK", 400, "1.0"), "B": ("OK", 90000, "1.0"),  # short
+                "C": ("OK", 91000, "1.0"), "D": ("OK", 90500, "1.0")},
+    (2, 1, 0): {"A": ("OK", 100000, "1.0"), "B": ("OK", 105000, "1.0"),  # C slow,
+                "C": ("OK", 400000, "9.0"), "D": ("OK", 102000, "1.0")},  # disagrees
+    (2, 2, 0): {"A": ("OK", 100000, "1.0"), "B": ("OK", 101000, "garbage"),
+                "C": ("OK", 102000, "1.0"), "D": ("OK", 100500, "1.0")},
+    (3, 0, 0): {"A": ("COMPILE_FAIL", None, None), "B": ("COMPILE_FAIL", None, None),
+                "C": ("COMPILE_FAIL", None, None), "D": ("OK", 70000, "4.0")},
+}
+
+
+def pinned_records():
+    """PINNED_GROUPS as a record stream that is in neither key nor config
+    order: (1,0,0) B, (0,0,0) A, (1,0,0) C, (0,0,0) D, then the rest."""
+    first = [((1, 0, 0), "B"), ((0, 0, 0), "A"), ((1, 0, 0), "C"), ((0, 0, 0), "D")]
+    rest = [(key, tc) for key in sorted(PINNED_GROUPS, reverse=True)
+            for tc in "DCBA" if (key, tc) not in first]
+    return [_rec(*key, tc, *PINNED_GROUPS[key][tc]) for key, tc in first + rest]
+
+
+PINNED_TABLE = "\n".join([
+    "                  Slow    Fast   Crash    Hang",
+    "----------------------------------------------",
+    "B                   --      --       1      --",
+    "A                   --      --      --      --",
+    "C                    1       1      --      --",
+    "D                   --      --      --       1",
+    "",
+    "groups: 10 total, 9 analyzed, 1 below the minimum-time filter, "
+    "2 with numeric disagreement, 1 whole-group failures",
+    "runs analyzed after filtering: 26",
+    "",
+    "numeric-mismatch groups (performance verdicts reported, not counted above):",
+    "  group 2 test 1 input 0: {'C': 'SLOW'}; "
+    "A vs C: 1.0 != 9.0; B vs C: 1.0 != 9.0; C vs D: 9.0 != 1.0",
+    "  group 2 test 2 input 0: no performance outlier; "
+    "A vs B: unparseable output from B: 'garbage'; "
+    "B vs C: unparseable output from B: 'garbage'; "
+    "B vs D: unparseable output from B: 'garbage'",
+])
+
+# (group, test, input, toolchain, verdict, midpoint, ratio, numeric_agree)
+PINNED_VERDICTS = [
+    dict(zip(("group", "test", "input", "toolchain", "verdict", "midpoint", "ratio",
+              "numeric_agree"), row)) for row in [
+        (0, 0, 0, "A", "NONE", 102333.33333333333, 0.977198697068404, True),
+        (0, 0, 0, "B", "NONE", 102333.33333333333, 1.0260586319218241, True),
+        (0, 0, 0, "C", "SLOW", 102333.33333333333, 3.908794788273616, True),
+        (0, 0, 0, "D", "NONE", 102333.33333333333, 0.996742671009772, True),
+        (0, 1, 0, "A", "NONE", 104666.66666666667, 0.9554140127388535, True),
+        (0, 1, 0, "B", "NONE", 104666.66666666667, 1.0509554140127388, True),
+        (0, 1, 0, "C", "FAST", 104666.66666666667, 0.38216560509554137, True),
+        (0, 1, 0, "D", "NONE", 104666.66666666667, 0.9936305732484076, True),
+        (0, 2, 1, "A", "NONE", 205000.0, 0.975609756097561, True),
+        (0, 2, 1, "B", "CRASH_OUTLIER", 205000.0, None, True),
+        (0, 2, 1, "C", "NONE", 205000.0, 1.024390243902439, True),
+        (0, 2, 1, "D", "NONE", 205000.0, 1.0, True),
+        (1, 0, 0, "A", "NONE", 150333.33333333334, 0.9977827050997782, True),
+        (1, 0, 0, "B", "NONE", 150333.33333333334, 0.9977827050997782, True),
+        (1, 0, 0, "C", "NONE", 150333.33333333334, 1.0044345898004434, True),
+        (1, 0, 0, "D", "HANG_OUTLIER", 150333.33333333334, None, True),
+        (1, 1, 2, "A", "NONE", None, None, True),
+        (1, 1, 2, "B", "NONE", None, None, True),
+        (1, 1, 2, "C", "NONE", None, None, True),
+        (1, 1, 2, "D", "NONE", None, None, True),
+        (1, 2, 0, "A", "EXCLUDED", 50500.0, None, True),
+        (1, 2, 0, "B", "NONE", 50500.0, 0.9900990099009901, True),
+        (1, 2, 0, "C", "NONE", 50500.0, 1.00990099009901, True),
+        (1, 2, 0, "D", "NONE", 50500.0, 1.0, True),
+        (2, 0, 0, "A", "EXCLUDED", None, None, True),
+        (2, 0, 0, "B", "EXCLUDED", None, None, True),
+        (2, 0, 0, "C", "EXCLUDED", None, None, True),
+        (2, 0, 0, "D", "EXCLUDED", None, None, True),
+        (2, 1, 0, "A", "NONE", 102333.33333333333, 0.977198697068404, False),
+        (2, 1, 0, "B", "NONE", 102333.33333333333, 1.0260586319218241, False),
+        (2, 1, 0, "C", "SLOW", 102333.33333333333, 3.908794788273616, False),
+        (2, 1, 0, "D", "NONE", 102333.33333333333, 0.996742671009772, False),
+        (2, 2, 0, "A", "NONE", 100875.0, 0.9913258983890955, False),
+        (2, 2, 0, "B", "NONE", 100875.0, 1.0012391573729864, False),
+        (2, 2, 0, "C", "NONE", 100875.0, 1.0111524163568772, False),
+        (2, 2, 0, "D", "NONE", 100875.0, 0.9962825278810409, False),
+        (3, 0, 0, "A", "EXCLUDED", None, None, True),
+        (3, 0, 0, "B", "EXCLUDED", None, None, True),
+        (3, 0, 0, "C", "EXCLUDED", None, None, True),
+        (3, 0, 0, "D", "EXCLUDED", None, None, True),
+]]
+
+
+def test_analyze_output_is_pinned(tmp_path):
+    report = analyze_campaign(pinned_records(), AnalysisParams())
+    assert render_table(report) == PINNED_TABLE
+    write_verdicts(report, tmp_path / "verdicts.jsonl")
+    lines = (tmp_path / "verdicts.jsonl").read_text().splitlines()
+    assert lines == [json.dumps(v) for v in PINNED_VERDICTS]

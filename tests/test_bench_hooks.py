@@ -5,8 +5,11 @@ per-layer figures silently empty."""
 
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import ompdiff.cli as cli
 from ompdiff.cli import main
@@ -18,13 +21,19 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 STAGES = ("generate_tests", "build_matrix", "execute_matrix")
 
 
-def test_traced_names_exist_and_all_calls_each_stage_once_through_cli(
-        tmp_path, fakecc, monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
+    """perfbench/run.py, imported as a module."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its siblings
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # for its dataclasses
-    spec.loader.exec_module(bench)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_exist_and_all_calls_each_stage_once_through_cli(
+        tmp_path, fakecc, monkeypatch, bench):
     targets = bench.TRACE_TARGETS
     assert not [f"{module}.{name}" for module, names in targets.items()
                 for name in names if not hasattr(importlib.import_module(module), name)]
@@ -38,3 +47,18 @@ def test_traced_names_exist_and_all_calls_each_stage_once_through_cli(
     cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"], ["-O0"]))
     assert main(["all", "--config", _cli_config(tmp_path, cfg)]) == 0
     assert calls == list(STAGES)
+
+
+def test_traced_all_records_a_span_for_every_name_and_notes_the_summary(
+        tmp_path, fakecc, capsys, bench):
+    cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"], ["-O0"]))
+    with bench.patched(bench.Tracer(), bench.TRACE_TARGETS) as tracer:
+        assert main(["all", "--config", _cli_config(tmp_path, cfg)]) == 0
+    names = [name for names in bench.TRACE_TARGETS.values() for name in names]
+    assert len(names) == 13
+    assert not [name for name in names if not tracer.named(name)]
+
+    total, analyzed = re.search(r"groups: (\d+) total, (\d+) analyzed",
+                                capsys.readouterr().out).groups()
+    [span] = tracer.named("analyze_campaign")
+    assert span.attrs == {"groups_total": int(total), "groups_analyzed": int(analyzed)}

@@ -8,10 +8,10 @@ import pytest
 from ompdiff.emit import CTYPE, EmitError, emit_source
 from ompdiff.generator import generate_program
 from ompdiff.inputs import gen_input_sample, serialize_input
-from ompdiff.nodes import (COMP, MATH_FUNCS, Assignment, BinOp, Block,
-                           GeneratorParams, IfBlock, MathCall, Num, OmpParallel,
-                           ParamDecl, Paren, Program, TempDecl, VarTerm,
-                           walk_statements)
+from ompdiff.nodes import (COMP, MATH_FUNCS, THREAD_ID, ArrayRef, Assignment,
+                           BinOp, Block, ForLoop, GeneratorParams, IfBlock,
+                           MathCall, Num, OmpParallel, ParamDecl, Paren, Program,
+                           TempDecl, VarTerm, walk_statements)
 from random import Random
 
 PAPER = dict(max_expression_size=5, max_nesting_levels=3, max_lines_in_block=10,
@@ -31,6 +31,33 @@ def test_emit_rejects_invalid_program():
                    seed=0, precision="double", array_size=10)
     with pytest.raises(EmitError, match="validation"):
         emit_source(prog, GeneratorParams())
+
+
+def test_thread_id_is_declared_once_right_after_the_brace_of_each_region_using_it():
+    def region(stmt):  # the region shape: assignments, then one `omp for` loop
+        loop = ForLoop("i_0", 8, True, Block([Assignment(VarTerm(COMP), "+=",
+                                                         Num("2.0"))]))
+        return OmpParallel(private=(), firstprivate=(), reduction="+", num_threads=2,
+                           body=Block([stmt, loop]))
+    program = Program(
+        params=[ParamDecl("a", "fp-array", "double")],
+        body=Block([
+            region(Assignment(ArrayRef("a", THREAD_ID), "=", Num("1.0"))),  # sink
+            region(Assignment(VarTerm(COMP), "+=", VarTerm(THREAD_ID))),  # expr
+            region(Assignment(VarTerm(COMP), "+=", Num("1.0"))),  # unused
+        ]),
+        seed=0, precision="double", array_size=8)
+    lines = emit_source(program, GeneratorParams(array_size=8, num_threads=2)
+                        ).splitlines()
+    declaration = f"    int {THREAD_ID} = omp_get_thread_num();"
+    braces = [n + 1 for n, line in enumerate(lines)
+              if line.startswith("  #pragma omp parallel")]
+    assert [lines[n] for n in braces] == ["  {"] * 3
+    assert [n - 1 for n, line in enumerate(lines) if line == declaration] == braces[:2]
+    assert lines[braces[0] + 2] == f"    a[{THREAD_ID}] = 1.0;"
+    assert lines[braces[1] + 2] == f"    {COMP} += (double){THREAD_ID};"
+    assert lines[braces[2] + 1] == f"    {COMP} += 1.0;"
+    assert sum(THREAD_ID in line for line in lines) == 4
 
 
 def _first_region_source(max_seed=100):
