@@ -235,7 +235,7 @@ _PERFORMANCE_OUTLIERS = (Classification.SLOW, Classification.FAST)
 class OutlierReport:
     verdicts: list[GroupVerdict]
     toolchains: list[str]
-    counts: dict[str, dict[str, int]]  # toolchain -> {slow, fast, crash, hang}
+    counts: dict[str, dict[str, int]]  # toolchain -> {_COLUMN value: count}
 
     @property
     def groups_total(self) -> int:
@@ -282,8 +282,7 @@ def _judge_group(key: tuple[int, int, int], recs: dict[str, RunRecord],
     short = _has_short_run(times, params)
     perf, mid = _judge_performance(times, params, short)
     agreement = numeric_agreement({tc: r.comp for tc, r in ok.items()},
-                                  params.numeric_rel_tol) if len(ok) >= 2 \
-        else AgreementResult(True)
+                                  params.numeric_rel_tol)
     classes = {tc: perf[tc] if tc in perf
                else corr.classes.get(tc, Classification.EXCLUDED) for tc in recs}
     return GroupVerdict(
@@ -308,7 +307,7 @@ def analyze_campaign(records: Iterable[RunRecord],
         if rec.toolchain not in toolchains:
             toolchains.append(rec.toolchain)
     verdicts = [_judge_group(key, groups[key], params) for key in sorted(groups)]
-    counts = {tc: {"slow": 0, "fast": 0, "crash": 0, "hang": 0} for tc in toolchains}
+    counts = {tc: dict.fromkeys(_COLUMN.values(), 0) for tc in toolchains}
     for v in verdicts:
         for tc, cls in v.classes.items():
             if cls in _COLUMN and (v.numeric_agree or cls not in _PERFORMANCE_OUTLIERS):
@@ -317,15 +316,13 @@ def analyze_campaign(records: Iterable[RunRecord],
 
 
 def render_table(report: OutlierReport) -> str:
-    """Human-readable summary: one row per toolchain, four outlier columns."""
-    lines = []
-    header = f"{'':<14}{'Slow':>8}{'Fast':>8}{'Crash':>8}{'Hang':>8}"
-    lines.append(header)
-    lines.append("-" * len(header))
+    """Human-readable summary: one row per toolchain, one column per _COLUMN."""
+    header = f"{'':<14}" + "".join(f"{col.capitalize():>8}" for col in _COLUMN.values())
+    lines = [header, "-" * len(header)]
     for tc in report.toolchains:
         c = report.counts[tc]
-        lines.append(f"{tc:<14}{c['slow'] or '--':>8}{c['fast'] or '--':>8}"
-                     f"{c['crash'] or '--':>8}{c['hang'] or '--':>8}")
+        lines.append(f"{tc:<14}" + "".join(f"{c[col] or '--':>8}"
+                                           for col in _COLUMN.values()))
     lines.append("")
     lines.append(f"groups: {report.groups_total} total, "
                  f"{report.groups_analyzed} analyzed, "

@@ -70,6 +70,14 @@ class ToolchainSpec:
     def compiler(self) -> str:
         return shlex.split(self.template)[0]
 
+    def compiler_path(self) -> str:
+        """The compiler as `PATH` resolves it now; ToolchainError when absent."""
+        path = shutil.which(self.compiler)
+        if path is None:
+            raise ToolchainError(
+                f"toolchain {self.id!r}: compiler {self.compiler!r} not found")
+        return path
+
     def runtime_env(self) -> dict[str, str]:
         merged = dict(os.environ)
         merged.update(self.env)
@@ -172,8 +180,8 @@ def generate_tests(config: CampaignConfig) -> list[tuple[int, int]]:
             src_path.parent.mkdir(parents=True, exist_ok=True)
             src_path.write_text(source)
             rng = Random(_mix(config.generator.rng_seed, group, test, salt=1))
-            samples = [gen_input_sample(program, rng, sample_id=i)
-                       for i in range(config.inputs_per_test)]
+            samples = [gen_input_sample(program, rng)
+                       for _ in range(config.inputs_per_test)]
             write_inputs_file(config.test_inputs(group, test), samples)
             written.append((group, test))
     return written
@@ -190,9 +198,8 @@ class CompileResult:
 
 def compile_test(source: Path, toolchain: ToolchainSpec, out: Path) -> CompileResult:
     toolchain.validate()
+    toolchain.compiler_path()  # ToolchainError when it is not on PATH
     argv = toolchain.command(str(source), str(out))
-    if shutil.which(argv[0]) is None:
-        raise ToolchainError(f"toolchain {toolchain.id!r}: compiler {argv[0]!r} not found")
     out.parent.mkdir(parents=True, exist_ok=True)
     proc = subprocess.run(argv, capture_output=True, text=True,
                           env=toolchain.runtime_env())
@@ -210,10 +217,7 @@ def _digest(*parts) -> str:
 def _compiler_fingerprint(toolchain: ToolchainSpec) -> str:
     """The compiler's identity: its resolved path, and the output and exit
     code of `<compiler> --version`."""
-    path = shutil.which(toolchain.compiler)
-    if path is None:
-        raise ToolchainError(
-            f"toolchain {toolchain.id!r}: compiler {toolchain.compiler!r} not found")
+    path = toolchain.compiler_path()
     proc = subprocess.run([path, "--version"], capture_output=True)
     return _digest(os.path.realpath(path), proc.returncode,
                    hashlib.sha256(proc.stdout + proc.stderr).hexdigest())
@@ -283,9 +287,7 @@ def build_matrix(config: CampaignConfig, *, matrix: Optional[list] = None
         # the key is written last, so a compile killed part way leaves none
         sidecar.unlink(missing_ok=True)
         res = compile_test(config.test_source(group, test), tc, out)
-        log = out.with_suffix(".compile.log")
-        log.parent.mkdir(parents=True, exist_ok=True)
-        log.write_text(res.diagnostics + "\n")
+        out.with_suffix(".compile.log").write_text(res.diagnostics + "\n")
         if not res.ok and out.exists():
             out.unlink()
         sidecar.write_text(key)
@@ -535,8 +537,6 @@ def _gcc_include_dir() -> Optional[str]:
 
 def probe_toolchain(spec: ToolchainSpec) -> bool:
     """Compile and run a tiny OpenMP program under the toolchain."""
-    if shutil.which(spec.compiler) is None:
-        return False
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "probe.cpp"
         out = Path(tmp) / "probe"

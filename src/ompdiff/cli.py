@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 from .analysis import analyze_campaign, render_table, write_verdicts
 from .campaign import (CampaignError, ToolchainError, _matrix, build_matrix,
@@ -23,6 +21,17 @@ EXIT_ERROR = 2
 
 COMMANDS = ("generate", "build", "run", "analyze", "all", "validate-config")
 
+# each override flag, the config field it replaces (as written in the file)
+# and its help; load_config types and checks the value like the file's
+OVERRIDES = (
+    ("--campaign-dir", "campaign_dir", "override the campaign directory"),
+    ("--seed", "generator.rng_seed", "override the generator RNG seed"),
+    ("--alpha", "analysis.alpha", "comparability threshold override"),
+    ("--beta", "analysis.beta", "outlier ratio override"),
+    ("--min-time-us", "analysis.min_time_us", "short-run filter override"),
+    ("--timeout", "campaign.timeout_seconds", "per-run timeout override, seconds"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -30,37 +39,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differential testing of OpenMP toolchains with random programs")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="campaign config file (YAML)")
-    parser.add_argument("--campaign-dir", help="override the campaign directory")
-    parser.add_argument("--seed", type=int, help="override the generator RNG seed")
-    parser.add_argument("--alpha", type=float, help="comparability threshold override")
-    parser.add_argument("--beta", type=float, help="outlier ratio override")
-    parser.add_argument("--min-time-us", type=int, help="short-run filter override")
-    parser.add_argument("--timeout", type=float, help="per-run timeout override, seconds")
+    for flag, name, help_text in OVERRIDES:
+        parser.add_argument(flag, dest=name, help=help_text)
     return parser
-
-
-def _apply_overrides(loaded: LoadedConfig, args) -> LoadedConfig:
-    campaign = loaded.campaign
-    analysis = loaded.analysis
-    if args.campaign_dir is not None:
-        campaign = replace(campaign, campaign_dir=Path(args.campaign_dir))
-    if args.seed is not None:
-        campaign = replace(campaign, generator=replace(campaign.generator,
-                                                       rng_seed=args.seed))
-    if args.timeout is not None:
-        campaign = replace(campaign, timeout_seconds=args.timeout)
-    updates = {}
-    if args.alpha is not None:
-        updates["alpha"] = args.alpha
-    if args.beta is not None:
-        updates["beta"] = args.beta
-    if args.min_time_us is not None:
-        updates["min_time_us"] = args.min_time_us
-    if updates:
-        analysis = replace(analysis, **updates)
-        analysis.validate()
-    campaign.validate()
-    return LoadedConfig(campaign=campaign, analysis=analysis)
 
 
 def _analyze(loaded: LoadedConfig) -> int:
@@ -89,10 +70,12 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    overrides = {name: getattr(args, name) for _, name, _ in OVERRIDES
+                 if getattr(args, name) is not None}
     try:
-        loaded = _apply_overrides(load_config(args.config), args)
-    except (ConfigError, CampaignError, ToolchainError) as exc:
-        for line in str(exc).split("; "):
+        loaded = load_config(args.config, overrides)
+    except ConfigError as exc:
+        for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -33,6 +33,9 @@ def _settable(cls) -> dict[str, type]:
 
 def _coerce(section: str, data: dict, cls, errors: list[str]) -> dict:
     """Typed values of one YAML section, which sets the fields of `cls`."""
+    if not isinstance(data, (dict, type(None))):
+        errors.append(f"{section}: expected a mapping")
+        return {}
     spec = _settable(cls)
     out = {}
     for key, value in (data or {}).items():
@@ -55,6 +58,9 @@ def _coerce(section: str, data: dict, cls, errors: list[str]) -> dict:
 def _toolchains(raw, errors: list[str]) -> list[ToolchainSpec]:
     if not raw:
         errors.append("toolchains: section is required")
+        return []
+    if not isinstance(raw, list):
+        errors.append("toolchains: expected a list")
         return []
     specs = []
     for i, entry in enumerate(raw):
@@ -81,10 +87,13 @@ def _toolchains(raw, errors: list[str]) -> list[ToolchainSpec]:
     return specs
 
 
-def load_config(path) -> LoadedConfig:
+def load_config(path, overrides=None) -> LoadedConfig:
     """Parse and validate a campaign config; raises ConfigError listing every
-    bad field. Omitted fields take the defaults of GeneratorParams,
-    CampaignConfig and AnalysisParams (the analysis thresholds among them)."""
+    bad field. `overrides` maps file fields (`campaign_dir`,
+    `generator.rng_seed`, ...) to values that replace the file's before any
+    field is typed or checked. Omitted fields take the defaults of
+    GeneratorParams, CampaignConfig and AnalysisParams (the analysis
+    thresholds among them)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file {path} does not exist"])
@@ -94,6 +103,13 @@ def load_config(path) -> LoadedConfig:
         raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError(["config must be a mapping of sections"])
+    for name, value in (overrides or {}).items():
+        section, _, key = name.rpartition(".")
+        if section and data.get(section) is None:
+            data[section] = {}
+        target = data[section] if section else data
+        if isinstance(target, dict):  # else _coerce reports the section
+            target[key] = value
 
     errors: list[str] = []
     known = {"campaign_dir", "toolchains", "generator", "campaign", "analysis"}
@@ -127,6 +143,8 @@ def load_config(path) -> LoadedConfig:
     campaign_dir = data.get("campaign_dir")
     if not campaign_dir:
         errors.append("campaign_dir: field is required")
+    elif not isinstance(campaign_dir, str):
+        errors.append(f"campaign_dir: expected a path, got {campaign_dir!r}")
 
     campaign = None
     if not errors:

@@ -87,15 +87,11 @@ class _Pool:
     fp: list[str]
     ints: list[str]
     indices: list[str]
-    arrays: list[str]
-    array_indices: list[str]
 
 
 def _serial_pool(ctx: _Ctx) -> _Pool:
     return _Pool(fp=ctx.fp_scalars + [COMP], ints=list(ctx.int_params),
-                 indices=list(ctx.loop_indices),
-                 arrays=list(ctx.serial_arrays),
-                 array_indices=list(ctx.loop_indices))
+                 indices=list(ctx.loop_indices))
 
 
 def _region_det_pool(ctx: _Ctx, with_tid: bool = False) -> _Pool:
@@ -105,9 +101,7 @@ def _region_det_pool(ctx: _Ctx, with_tid: bool = False) -> _Pool:
     indices = r.invariant_indices + ctx.loop_indices
     return _Pool(fp=r.invariant_fp + ctx.region_locals,
                  ints=list(r.invariant_ints),
-                 indices=indices + [THREAD_ID] if with_tid else indices,
-                 arrays=list(ctx.serial_arrays),
-                 array_indices=r.invariant_indices + ctx.loop_indices)
+                 indices=indices + [THREAD_ID] if with_tid else indices)
 
 
 def _region_inv_pool(ctx: _Ctx, include_comp: bool) -> _Pool:
@@ -115,9 +109,7 @@ def _region_inv_pool(ctx: _Ctx, include_comp: bool) -> _Pool:
     r = ctx.region
     return _Pool(fp=r.invariant_fp + ([COMP] if include_comp else []),
                  ints=list(r.invariant_ints),
-                 indices=list(r.invariant_indices),
-                 arrays=list(ctx.serial_arrays),
-                 array_indices=list(r.invariant_indices))
+                 indices=list(r.invariant_indices))
 
 
 # --- expressions ---
@@ -138,7 +130,9 @@ def _gen_term(ctx: _Ctx, pool: _Pool) -> Expr:
         kinds.append("int")
     if pool.indices:
         kinds.append("index")
-    if pool.arrays and pool.array_indices:
+    # an array read at thread_id would vary with the executing thread
+    array_indices = [i for i in pool.indices if i != THREAD_ID]
+    if ctx.serial_arrays and array_indices:
         kinds.append("array")
     kind = rng.choice(kinds)
     if kind == "const":
@@ -150,7 +144,7 @@ def _gen_term(ctx: _Ctx, pool: _Pool) -> Expr:
     elif kind == "index":
         term = VarTerm(rng.choice(pool.indices))
     else:
-        term = ArrayRef(rng.choice(pool.arrays), rng.choice(pool.array_indices),
+        term = ArrayRef(rng.choice(ctx.serial_arrays), rng.choice(array_indices),
                         modulo=True)
     if ctx.p.math_func_allowed and rng.random() < ctx.p.math_func_probability:
         term = MathCall(rng.choice(MATH_FUNCS), term)

@@ -125,11 +125,10 @@ class InputValue:
 
 @dataclass
 class InputSample:
-    sample_id: int
     values: list[InputValue]
 
 
-def gen_input_sample(program: Program, rng: Random, sample_id: int = 0) -> InputSample:
+def gen_input_sample(program: Program, rng: Random) -> InputSample:
     """One value per parameter: fp parameters get a uniformly chosen class,
     integer parameters draw uniformly from [1, array_size]."""
     values = []
@@ -141,7 +140,7 @@ def gen_input_sample(program: Program, rng: Random, sample_id: int = 0) -> Input
             cls = rng.choice(FP_CLASSES)
             values.append(InputValue(decl.name, cls,
                                      gen_value(cls, decl.precision, rng)))
-    return InputSample(sample_id, values)
+    return InputSample(values)
 
 
 def serialize_input(sample: InputSample) -> list[str]:

@@ -223,7 +223,7 @@ class _Validator:
     def for_loop(self, stmt: ForLoop, env: _Env, depth: int, path: str) -> None:
         if isinstance(stmt.bound, int):
             if stmt.bound < 1:
-                self.err(path, "limit.blocks", f"loop bound {stmt.bound} must be >= 1")
+                self.err(path, "limit.bound", f"loop bound {stmt.bound} must be >= 1")
         elif stmt.bound not in env.ints:
             self.err(path, "scope",
                      f"loop bound {stmt.bound!r} is not an int parameter in scope")

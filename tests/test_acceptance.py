@@ -184,8 +184,8 @@ def test_criterion_5_race_freedom_proxy(toolchains, tmp_path):
                             for s in walk_statements(program.body))
         reductions += has_reduction
         rng = Random(1000 + seed)
-        for k in range(2):
-            tokens = serialize_input(gen_input_sample(program, rng, k))
+        for _ in range(2):
+            tokens = serialize_input(gen_input_sample(program, rng))
             outs = {}
             for nt in (1, 4):
                 run = subprocess.run([str(per_thread[nt][1])] + tokens,

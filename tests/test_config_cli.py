@@ -288,3 +288,70 @@ def test_cli_all_runs_the_full_pipeline(tmp_path, toolchains, capsys):
     records = (camp / "records.jsonl").read_text().splitlines()
     assert len(records) == 2 * 2 * 1  # toolchains x tests x inputs
     assert (camp / "verdicts.jsonl").exists()
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("campaign_dir", 5, "campaign_dir: expected a path, got 5"),
+    ("campaign_dir", ["a"], "campaign_dir: expected a path, got ['a']"),
+    ("toolchains", 5, "toolchains: expected a list"),
+    ("generator", 5, "generator: expected a mapping"),
+    ("analysis", [1, 2], "analysis: expected a mapping"),
+], ids=["dir-int", "dir-list", "toolchains-int", "generator-int", "analysis-list"])
+def test_malformed_shape_is_a_field_error(tmp_path, capsys, field, value, error):
+    data = yaml.safe_load(paper_config(tmp_path, tmp_path / "c").read_text())
+    data[field] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert error in info.value.errors
+    # an override into a section that is not a mapping is no traceback either
+    assert main(["validate-config", "--config", str(path), "--seed", "9",
+                 "--alpha", "0.3"]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("config error: ") for line in err)
+
+
+@pytest.mark.parametrize("flag, value, section, name", [
+    ("--alpha", "0", "analysis", "alpha"),
+    ("--beta", "1.1", "analysis", "beta"),
+    ("--seed", "-1", "generator", "rng_seed"),
+    ("--min-time-us", "-5", "analysis", "min_time_us"),
+    ("--timeout", "0", "campaign", "timeout_seconds"),
+])
+def test_bad_override_is_reported_like_the_same_file_field(tmp_path, capsys, flag,
+                                                           value, section, name):
+    cfg = paper_config(tmp_path, tmp_path / "c")
+    assert main(["validate-config", "--config", str(cfg), flag, value]) == EXIT_ERROR
+    from_flag = capsys.readouterr().err
+    assert from_flag.startswith(f"config error: {section}: ")
+    assert from_flag.count("\n") == 1
+
+    data = yaml.safe_load(cfg.read_text())
+    data.setdefault(section, {})[name] = yaml.safe_load(value)
+    in_file = tmp_path / "in_file.yaml"
+    in_file.write_text(yaml.safe_dump(data))
+    assert main(["validate-config", "--config", str(in_file)]) == EXIT_ERROR
+    assert capsys.readouterr().err == from_flag
+
+
+def test_validate_config_echoes_overrides(tmp_path, capsys):
+    cfg = paper_config(tmp_path, tmp_path / "c")  # rng_seed 7, default thresholds
+    assert main(["validate-config", "--config", str(cfg), "--seed", "9",
+                 "--alpha", "0.1", "--beta", "2", "--campaign-dir", "X"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "campaign_dir: X"
+    assert "rng_seed=9" in out[2].split()
+    assert {"alpha=0.1", "beta=2.0"} <= set(out[4].split())
+
+
+def test_campaign_dir_may_come_from_the_command_line(tmp_path, capsys):
+    data = yaml.safe_load(paper_config(tmp_path, tmp_path / "c").read_text())
+    del data["campaign_dir"]
+    path = tmp_path / "no_dir.yaml"
+    path.write_text(yaml.safe_dump(data))
+    assert main(["validate-config", "--config", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == "config error: campaign_dir: field is required\n"
+    assert main(["validate-config", "--config", str(path),
+                 "--campaign-dir", str(tmp_path / "d")]) == EXIT_OK
+    assert capsys.readouterr().out.startswith(f"campaign_dir: {tmp_path / 'd'}\n")

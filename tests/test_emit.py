@@ -104,7 +104,7 @@ def test_stdout_contract_on_compiled_binary(toolchain, tmp_path):
     built = subprocess.run(cmd, capture_output=True, text=True,
                            env=toolchain.runtime_env())
     assert built.returncode == 0, built.stderr
-    tokens = serialize_input(gen_input_sample(program, Random(0), 0))
+    tokens = serialize_input(gen_input_sample(program, Random(0)))
     run = subprocess.run([str(out)] + tokens, capture_output=True, text=True,
                          timeout=60)
     assert run.returncode == 0

@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 from dataclasses import replace
 from random import Random
 
+from ompdiff.campaign import CampaignConfig, generate_tests
 from ompdiff.emit import emit_source
 from ompdiff.generator import assign_data_sharing, generate_program
 from ompdiff.nodes import (COMP, LINE_STATEMENTS, Block, Critical, ForLoop,
@@ -143,3 +146,30 @@ def test_data_sharing_arrays_forced_shared():
         sharing = assign_data_sharing(_region(None), ["a", "arr"], Random(seed),
                                       arrays=["arr"])
         assert sharing["arr"] == "shared"
+
+
+# sha256 of the `_tests/` tree that generate_tests writes for a paper-config
+# campaign of 2 groups x 10 tests x 3 inputs at num_threads 2. A change that
+# alters generated sources or inputs on purpose re-pins these and says so.
+TREE_DIGESTS = {
+    1: "9adbeccaace2592f97c3501f81367cb5841a5dca2a9559a497596028513c3de6",
+    2: "3a32442f5cb10ffbfa3e5d183f6198ee3e6033e9c2dbc0f0cef38c5e7705a051",
+    3: "0593284da3076f695300f6abddc58d2a973e24cd42f5510a77851d7ff80b7c03",
+}
+
+
+def _tree_digest(root) -> str:
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(TREE_DIGESTS))
+def test_generated_tree_is_pinned(tmp_path, seed):
+    config = CampaignConfig(tmp_path, [], GeneratorParams(rng_seed=seed, num_threads=2,
+                                                          **PAPER),
+                            n_groups=2, tests_per_group=10, inputs_per_test=3)
+    generate_tests(config)
+    assert _tree_digest(tmp_path / "_tests") == TREE_DIGESTS[seed]

@@ -71,8 +71,7 @@ def test_sample_arity_and_int_range():
     params = GeneratorParams(rng_seed=3, num_threads=2, array_size=50)
     program = generate_program(params)
     rng = Random(1)
-    sample = gen_input_sample(program, rng, sample_id=4)
-    assert sample.sample_id == 4
+    sample = gen_input_sample(program, rng)
     assert len(sample.values) == len(program.params)
     tokens = serialize_input(sample)
     assert len(tokens) == len(program.params)
@@ -88,10 +87,10 @@ def test_sample_arity_and_int_range():
 def test_sampling_is_deterministic_per_seed():
     params = GeneratorParams(rng_seed=8, num_threads=2)
     program = generate_program(params)
-    s1 = gen_input_sample(program, Random(123), 0)
-    s2 = gen_input_sample(program, Random(123), 0)
+    s1 = gen_input_sample(program, Random(123))
+    s2 = gen_input_sample(program, Random(123))
     assert serialize_input(s1) == serialize_input(s2)
-    s3 = gen_input_sample(program, Random(124), 0)
+    s3 = gen_input_sample(program, Random(124))
     assert serialize_input(s1) != serialize_input(s3)
 
 
@@ -101,8 +100,8 @@ def test_every_class_occurs_under_uniform_choice():
     fp_positions = [i for i, d in enumerate(program.params) if d.kind != "int-scalar"]
     rng = Random(2)
     seen = set()
-    for k in range(1000):
-        sample = gen_input_sample(program, rng, k)
+    for _ in range(1000):
+        sample = gen_input_sample(program, rng)
         for i in fp_positions:
             seen.add(sample.values[i].fp_class)
     assert seen == set(FP_CLASSES)
@@ -112,7 +111,7 @@ def test_inputs_file_roundtrip(tmp_path):
     params = GeneratorParams(rng_seed=13, num_threads=2)
     program = generate_program(params)
     rng = Random(0)
-    samples = [gen_input_sample(program, rng, i) for i in range(3)]
+    samples = [gen_input_sample(program, rng) for _ in range(3)]
     path = tmp_path / "_test_0.inputs"
     write_inputs_file(path, samples)
     lines = read_inputs_file(path)

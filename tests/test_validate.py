@@ -169,3 +169,9 @@ def test_generated_output_accepted_is_checked_elsewhere():
     # guards against rule drift: an intentionally broken op is caught
     prog = program(Block([Assignment(VarTerm(COMP), "**=", Num("1.0"))]))
     assert "op" in rules(validate_program(prog, PARAMS))
+
+
+def test_loop_bound_below_one_has_its_own_rule():
+    loop = ForLoop("i_0", 0, omp_for=False,
+                   body=Block([Assignment(VarTerm(COMP), "=", Num("1.0"))]))
+    assert rules(validate_program(program(Block([loop])), PARAMS)) == {"limit.bound"}
