@@ -22,6 +22,7 @@ import shutil
 import signal
 import subprocess
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -35,6 +36,7 @@ from .inputs import gen_input_sample, read_inputs_file, write_inputs_file
 from .nodes import GeneratorParams
 
 HANG_GRACE_SECONDS = 2.0
+STDERR_TAIL_BYTES = 2000  # of a CRASH or HANG run's stderr, kept in its record
 
 
 class ToolchainError(RuntimeError):
@@ -84,7 +86,7 @@ class ToolchainSpec:
         return merged
 
 
-@dataclass
+@dataclass(slots=True)  # analyze holds every record of a log
 class RunRecord:
     test: int
     group: int
@@ -95,6 +97,8 @@ class RunRecord:
     comp: Optional[str] = None
     exit: Optional[str] = None
     stamp: Optional[str] = None  # see _run_stamp; None in logs that predate it
+    wall_us: Optional[int] = None  # spawn to exit; not part of the stamp
+    stderr: Optional[str] = None  # the tail of a CRASH or HANG run's stderr
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -307,6 +311,8 @@ class ExecResult:
     time_us: Optional[int] = None
     comp: Optional[str] = None
     exit: Optional[str] = None
+    wall_us: Optional[int] = None
+    stderr: Optional[str] = None
 
 
 def _parse_run_output(stdout: bytes) -> Optional[tuple[str, int]]:
@@ -331,34 +337,43 @@ def _parse_run_output(stdout: bytes) -> Optional[tuple[str, int]]:
 
 def _run_once(binary: str, args: list[str], timeout: float,
               env: Optional[dict[str, str]]) -> ExecResult:
+    """One run. `wall_us` is its time from spawn to exit; a CRASH or HANG
+    keeps the tail of its stderr."""
+    start = time.perf_counter_ns()
     proc = subprocess.Popen([binary] + args, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=env)
     try:
-        stdout, _ = proc.communicate(timeout=timeout)
+        stdout, stderr = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         proc.send_signal(signal.SIGINT)
         try:
-            proc.communicate(timeout=HANG_GRACE_SECONDS)
+            _, stderr = proc.communicate(timeout=HANG_GRACE_SECONDS)
         except subprocess.TimeoutExpired:
             proc.kill()
-            proc.communicate()
-        return ExecResult("HANG", exit=f"timeout after {timeout}s (SIGINT sent)")
-    if proc.returncode != 0:
-        detail = (f"signal {-proc.returncode}" if proc.returncode < 0
-                  else f"exit code {proc.returncode}")
-        return ExecResult("CRASH", exit=detail)
-    parsed = _parse_run_output(stdout)
-    if parsed is None:
-        return ExecResult("CRASH", exit="output contract violated")
-    comp, time_us = parsed
-    return ExecResult("OK", time_us=time_us, comp=comp)
+            _, stderr = proc.communicate()
+        res = ExecResult("HANG", exit=f"timeout after {timeout}s (SIGINT sent)")
+    else:
+        if proc.returncode < 0:
+            res = ExecResult("CRASH", exit=f"signal {-proc.returncode}")
+        elif proc.returncode > 0:
+            res = ExecResult("CRASH", exit=f"exit code {proc.returncode}")
+        elif (parsed := _parse_run_output(stdout)) is None:
+            res = ExecResult("CRASH", exit="output contract violated")
+        else:
+            comp, time_us = parsed
+            res = ExecResult("OK", time_us=time_us, comp=comp)
+    res.wall_us = (time.perf_counter_ns() - start) // 1000
+    if res.status != "OK":
+        res.stderr = stderr[-STDERR_TAIL_BYTES:].decode("utf-8", errors="replace")
+    return res
 
 
 def execute(binary: Path, args: list[str], timeout_seconds: float,
             repetitions: int = 1, env: Optional[dict[str, str]] = None) -> ExecResult:
     """Run one binary on one input; HANG after the timeout, CRASH on abnormal
     termination or broken output. With repetitions, time is the minimum and
-    the printed comp value must not vary across repeats."""
+    the printed comp value must not vary across repeats, and `wall_us` is
+    that of the repetition whose time is kept."""
     binary = Path(binary)
     if not binary.exists():
         raise CampaignError(f"binary {binary} does not exist")
@@ -372,8 +387,7 @@ def execute(binary: Path, args: list[str], timeout_seconds: float,
     if len(comps) > 1:
         return ExecResult("CRASH",
                           exit=f"output varied across repetitions: {sorted(comps)}")
-    return ExecResult("OK", time_us=min(r.time_us for r in results),
-                      comp=results[0].comp)
+    return min(results, key=lambda r: r.time_us)
 
 
 def load_records(path: Path) -> list[RunRecord]:

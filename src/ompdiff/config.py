@@ -43,15 +43,19 @@ def _coerce(section: str, data: dict, cls, errors: list[str]) -> dict:
             errors.append(f"{section}.{key}: unknown field")
             continue
         want = spec[key]
+        # a value is read from its text, as a command-line override arrives,
+        # so that file and flag take and refuse the same values: 1.9 is no
+        # int and true is no number in either
+        text = str(value).lower() if isinstance(value, bool) else str(value)
         try:
             if want is bool:
                 if not isinstance(value, bool):
-                    raise TypeError
+                    raise ValueError
                 out[key] = value
             else:
-                out[key] = want(value)
-        except (TypeError, ValueError):
-            errors.append(f"{section}.{key}: expected {want.__name__}, got {value!r}")
+                out[key] = want(text)
+        except ValueError:
+            errors.append(f"{section}.{key}: expected {want.__name__}, got {text!r}")
     return out
 
 

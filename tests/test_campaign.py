@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import ompdiff.campaign as campaign
 from ompdiff.campaign import (CampaignConfig, CampaignError, CompileResult,
-                              RunRecord, ToolchainError, ToolchainSpec,
+                              ExecResult, RunRecord, ToolchainError, ToolchainSpec,
                               build_matrix, compile_test, execute,
                               execute_matrix, generate_tests, load_records,
                               run_campaign)
@@ -57,6 +58,11 @@ def fixtures(tmp_path):
             import sys
             sys.stdout.buffer.write(b"comp=\\xff\\ntime_us=10\\n")
         """),
+        "complains": script(tmp_path / "complains.py", """
+            import sys
+            sys.stderr.buffer.write(b"x" * 5000 + b"\\xff: assertion failed\\n")
+            sys.exit(3)
+        """),
     }
 
 
@@ -101,6 +107,26 @@ def test_execute_repetitions_demand_stable_output(fixtures):
     assert res.status == "OK" and res.time_us == 1234
 
 
+def test_hang_keeps_the_tail_of_stderr(tmp_path):
+    talker = script(tmp_path / "talker.py", """
+        import sys, time
+        print("still working", file=sys.stderr, flush=True)
+        time.sleep(30)
+    """)
+    res = execute(talker, [], timeout_seconds=1)
+    assert res.status == "HANG" and res.stderr.startswith("still working\n")
+    assert res.wall_us >= 1_000_000
+
+
+def test_repetitions_keep_the_wall_time_of_the_kept_run(fixtures, monkeypatch):
+    runs = iter([ExecResult("OK", time_us=9, comp="1", wall_us=90),
+                 ExecResult("OK", time_us=5, comp="1", wall_us=70),
+                 ExecResult("OK", time_us=7, comp="1", wall_us=60)])
+    monkeypatch.setattr(campaign, "_run_once", lambda *args: next(runs))
+    res = execute(fixtures["ok"], [], timeout_seconds=10, repetitions=3)
+    assert (res.time_us, res.wall_us) == (5, 70)
+
+
 def test_execute_missing_binary(tmp_path):
     with pytest.raises(CampaignError):
         execute(tmp_path / "nope", [], timeout_seconds=1)
@@ -110,6 +136,9 @@ def test_record_json_roundtrip():
     rec = RunRecord(test=1, group=2, input=0, toolchain="gcc", status="OK",
                     time_us=10, comp="1.0", exit=None)
     assert RunRecord.from_json(rec.to_json()) == rec
+    older = ('{"test": 1, "group": 2, "input": 0, "toolchain": "gcc", "status": "OK",'
+             ' "time_us": 10, "comp": "1.0", "exit": null}')
+    assert RunRecord.from_json(older) == rec  # no stamp, wall_us or stderr
 
 
 def copying_toolchains(tmp_path, binary, ids=("a", "b")):
@@ -122,6 +151,26 @@ def copying_toolchains(tmp_path, binary, ids=("a", "b")):
     """)
     return [ToolchainSpec(id=t, template=f"{cc} {binary} {{src}} -o {{out}}")
             for t in ids]
+
+
+def test_run_records_keep_wall_time_and_the_tail_of_a_crash_stderr(tmp_path, fixtures):
+    ok = _config(tmp_path / "ok", copying_toolchains(tmp_path, fixtures["ok"]))
+    generate_tests(ok)
+    build_matrix(ok)
+    execute_matrix(ok)
+    for rec in load_records(ok.records_path()):
+        assert rec.status == "OK" and rec.stderr is None
+        assert rec.wall_us >= rec.time_us == 1234
+    crash = _config(tmp_path / "crash",
+                    copying_toolchains(tmp_path, fixtures["complains"]))
+    generate_tests(crash)
+    build_matrix(crash)
+    execute_matrix(crash)
+    for rec in load_records(crash.records_path()):
+        assert rec.status == "CRASH" and rec.exit == "exit code 3"
+        assert len(rec.stderr) == 2000
+        assert rec.stderr.endswith("x\ufffd: assertion failed\n")
+        assert rec.wall_us > 0
 
 
 def test_torn_final_record_is_cut_before_resume(tmp_path, fixtures):

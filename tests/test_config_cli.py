@@ -335,6 +335,28 @@ def test_bad_override_is_reported_like_the_same_file_field(tmp_path, capsys, fla
     assert capsys.readouterr().err == from_flag
 
 
+@pytest.mark.parametrize("flag,value,section,name,want", [
+    ("--seed", "1.9", "generator", "rng_seed", "int"),
+    ("--seed", "true", "generator", "rng_seed", "int"),
+    ("--min-time-us", "2.5", "analysis", "min_time_us", "int"),
+    ("--timeout", "true", "campaign", "timeout_seconds", "float"),
+    ("--alpha", "false", "analysis", "alpha", "float"),
+])
+def test_mistyped_value_is_refused_alike_in_file_and_flag(tmp_path, capsys, flag, value,
+                                                          section, name, want):
+    line = f"config error: {section}.{name}: expected {want}, got {value!r}\n"
+    cfg = paper_config(tmp_path, tmp_path / "c")
+    assert main(["validate-config", "--config", str(cfg), flag, value]) == EXIT_ERROR
+    assert capsys.readouterr().err == line
+
+    data = yaml.safe_load(cfg.read_text())
+    data.setdefault(section, {})[name] = yaml.safe_load(value)
+    in_file = tmp_path / "in_file.yaml"
+    in_file.write_text(yaml.safe_dump(data))
+    assert main(["validate-config", "--config", str(in_file)]) == EXIT_ERROR
+    assert capsys.readouterr().err == line
+
+
 def test_validate_config_echoes_overrides(tmp_path, capsys):
     cfg = paper_config(tmp_path, tmp_path / "c")  # rng_seed 7, default thresholds
     assert main(["validate-config", "--config", str(cfg), "--seed", "9",

@@ -164,6 +164,7 @@ def test_translation_unit_is_lean_and_declares_each_called_math_function_once():
     for program, source in _paper_sources():
         assert "<cmath>" not in source and "<chrono>" not in source
         assert "std::" not in source
+        assert "new " not in source and "delete" not in source
         ctype = CTYPE[program.precision]
         suffix = "f" if program.precision == "single" else ""
         called = _called(program)
@@ -177,6 +178,37 @@ def test_translation_unit_is_lean_and_declares_each_called_math_function_once():
             else:
                 assert prototypes == []
     assert min(seen.values()) > 0  # both precisions call math functions
+
+
+def test_objects_reference_no_cpp_runtime_symbol(toolchain, tmp_path):
+    """The emitted translation unit links against libgomp, libc and libm only:
+    its objects leave no C++ runtime symbol (operator new[] and delete[],
+    exception support) for the link to resolve from libstdc++."""
+    names, seen = [], set()
+    for seed, (program, source) in enumerate(_paper_sources(12)):
+        nodes = list(walk_statements(program.body))
+        seen |= {program.precision} | {type(s).__name__ for s in nodes}
+        seen |= {"math"} if _called(program) else set()
+        seen |= {"reduction"} if any(isinstance(s, OmpParallel) and s.reduction
+                                     for s in nodes) else set()
+        names.append(f"t{seed}.cpp")
+        (tmp_path / names[-1]).write_text(source)
+    assert {"single", "double", "math", "Critical", "reduction"} <= seen
+    openmp = [f for f in toolchain.flags if not f.startswith("-O")]
+    for level in ("-O0", "-O3"):
+        out = tmp_path / level
+        out.mkdir()
+        built = subprocess.run([toolchain.compiler_path(), *openmp, level, "-c",
+                                *(f"../{name}" for name in names)],
+                               cwd=out, capture_output=True, text=True,
+                               env=toolchain.runtime_env())
+        assert built.returncode == 0, built.stderr
+        objects = sorted(str(o) for o in out.glob("*.o"))
+        assert len(objects) == len(names)
+        undefined = subprocess.run(["nm", "-u", *objects], capture_output=True,
+                                   text=True, check=True).stdout.split()
+        assert "malloc" in undefined
+        assert [s for s in undefined if s.startswith(("_Z", "__cxa_", "__gxx_"))] == []
 
 
 def test_clock_is_read_right_before_and_right_after_compute():

@@ -152,9 +152,9 @@ def test_data_sharing_arrays_forced_shared():
 # campaign of 2 groups x 10 tests x 3 inputs at num_threads 2. A change that
 # alters generated sources or inputs on purpose re-pins these and says so.
 TREE_DIGESTS = {
-    1: "9adbeccaace2592f97c3501f81367cb5841a5dca2a9559a497596028513c3de6",
-    2: "3a32442f5cb10ffbfa3e5d183f6198ee3e6033e9c2dbc0f0cef38c5e7705a051",
-    3: "0593284da3076f695300f6abddc58d2a973e24cd42f5510a77851d7ff80b7c03",
+    1: "c321645b901fc2da45239ea82c4cbafa7246e9e1a607e2142c13bd6c8a3b229a",
+    2: "7258e5692757e99bc401337346d94ab3c011b550efa05bd7df4404b18b3d23f8",
+    3: "3dea691f744278ef46381320a99f4a897206312620f178c2a2234395bcb206a5",
 }
 
 
