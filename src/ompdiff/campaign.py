@@ -21,7 +21,6 @@ import shlex
 import shutil
 import signal
 import subprocess
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -201,15 +200,18 @@ class CompileResult:
 
 
 def compile_test(source: Path, toolchain: ToolchainSpec, out: Path) -> CompileResult:
-    toolchain.validate()
-    toolchain.compiler_path()  # ToolchainError when it is not on PATH
+    """Compile `source` to `out`. A compile succeeds when the compiler exits 0
+    and wrote `out`; any earlier `out` is removed first."""
     argv = toolchain.command(str(source), str(out))
     out.parent.mkdir(parents=True, exist_ok=True)
+    out.unlink(missing_ok=True)
     proc = subprocess.run(argv, capture_output=True, text=True,
                           env=toolchain.runtime_env())
     diagnostics = (proc.stdout + proc.stderr).strip()
     if proc.returncode != 0:
         return CompileResult(False, diagnostics or f"exit code {proc.returncode}")
+    if not out.exists():
+        return CompileResult(False, f"exit code 0 but no binary at {out}")
     return CompileResult(True, diagnostics)
 
 
@@ -518,84 +520,3 @@ def run_campaign(config: CampaignConfig) -> list[RunRecord]:
     matrix = list(_matrix(config))
     build_matrix(config, matrix=matrix)
     return execute_matrix(config, matrix=matrix)
-
-
-# --- local toolchain discovery ---
-
-_PROBE = """#include <omp.h>
-#include <cstdio>
-int main() {
-  double acc = 0.0;
-  #pragma omp parallel num_threads(2) reduction(+: acc)
-  { acc += omp_get_thread_num(); }
-  printf("%g\\n", acc);
-  return 0;
-}
-"""
-
-
-def _gcc_include_dir() -> Optional[str]:
-    gxx = shutil.which("g++")
-    if gxx is None:
-        return None
-    try:
-        out = subprocess.run([gxx, "-print-file-name=include"],
-                             capture_output=True, text=True, timeout=30)
-        inc = out.stdout.strip()
-        if inc and Path(inc, "omp.h").exists():
-            return inc
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return None
-
-
-def probe_toolchain(spec: ToolchainSpec) -> bool:
-    """Compile and run a tiny OpenMP program under the toolchain."""
-    with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "probe.cpp"
-        out = Path(tmp) / "probe"
-        src.write_text(_PROBE)
-        try:
-            res = compile_test(src, spec, out)
-            if not res.ok:
-                return False
-            run = subprocess.run([str(out)], capture_output=True, timeout=30,
-                                 env=spec.runtime_env())
-            return run.returncode == 0
-        except (ToolchainError, OSError, subprocess.SubprocessError):
-            return False
-
-
-def discover_default_toolchains() -> list[ToolchainSpec]:
-    """OpenMP toolchains usable on this host, probed with a smoke compile:
-    one per working compiler, plus a `<id>-novec` variant when only one
-    compiler works."""
-    candidates = [
-        ToolchainSpec(id="gcc", template="g++ {flags} {src} -o {out}",
-                      flags=["-O3", "-fopenmp"]),
-        ToolchainSpec(id="clang", template="clang++ {flags} {src} -o {out}",
-                      flags=["-O3", "-fopenmp"]),
-        ToolchainSpec(id="intel", template="icpx {flags} {src} -o {out}",
-                      flags=["-O3", "-qopenmp"]),
-    ]
-    clang_inc = _gcc_include_dir()
-    if clang_inc is not None:
-        candidates.insert(2, ToolchainSpec(
-            id="clang-libgomp", template="clang++ {flags} {src} -o {out}",
-            flags=["-O3", "-fopenmp=libgomp", f"-I{clang_inc}"]))
-    found = []
-    seen_compilers = set()
-    for spec in candidates:
-        if spec.compiler in seen_compilers:
-            continue
-        if probe_toolchain(spec):
-            found.append(spec)
-            seen_compilers.add(spec.compiler)
-    if len(found) == 1:
-        # one compiler is compared with a flag variant of itself, as Csmith
-        # does: weaker evidence than two vendors, but still at -O3
-        variant = replace(found[0], id=f"{found[0].id}-novec",
-                          flags=found[0].flags + ["-fno-tree-vectorize"])
-        if probe_toolchain(variant):
-            found.append(variant)
-    return found

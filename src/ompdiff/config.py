@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -53,7 +54,10 @@ def _coerce(section: str, data: dict, cls, errors: list[str]) -> dict:
                     raise ValueError
                 out[key] = value
             else:
-                out[key] = want(text)
+                number = want(text)
+                if want is float and not math.isfinite(number):
+                    raise ValueError  # nan passes every threshold test
+                out[key] = number
         except ValueError:
             errors.append(f"{section}.{key}: expected {want.__name__}, got {text!r}")
     return out

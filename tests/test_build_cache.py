@@ -2,8 +2,9 @@
 
 No compiler is needed: `fakecc.py` stands in for one. It writes a Python
 script as the "binary", with the source's sha256 and the flags in a comment,
-so a binary changes exactly when its source or flags change, and it fails
-when `--fail` is among its flags.
+so a binary changes exactly when its source or flags change. It fails when
+`--fail` is among its flags, and exits 0 without writing a binary when
+`--no-out` is.
 """
 
 import threading
@@ -15,9 +16,10 @@ import yaml
 
 import ompdiff.campaign as campaign
 import ompdiff.cli as cli
-from ompdiff.campaign import (CampaignError, RunRecord, ToolchainSpec,
-                              build_matrix, execute_matrix, generate_tests,
-                              load_records, run_campaign)
+from ompdiff.campaign import (CampaignError, RunRecord, ToolchainError,
+                              ToolchainSpec, build_matrix, compile_test,
+                              execute_matrix, generate_tests, load_records,
+                              run_campaign)
 from ompdiff.cli import EXIT_ERROR, main
 from ompdiff.config import load_config
 
@@ -33,6 +35,8 @@ FAKECC = """
     if "--fail" in args:
         print("fakecc: error: --fail given", file=sys.stderr)
         sys.exit(1)
+    if "--no-out" in args:
+        sys.exit(0)
     out = args[args.index("-o") + 1]
     src = args[args.index("-o") - 1]
     digest = hashlib.sha256(open(src, "rb").read()).hexdigest()
@@ -148,6 +152,43 @@ def test_cached_compile_failure_is_not_compiled_again(tmp_path, fakecc, compiles
     assert not res.ok and res.cached and "--fail given" in res.diagnostics
     assert execute_matrix(cfg) == first
     assert cfg.records_path().read_bytes() == log
+
+
+def test_a_compile_that_writes_no_binary_fails_on_the_first_build(
+        tmp_path, fakecc, capsys):
+    cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"], ["--no-out"]))
+    argv = ["--config", _cli_config(tmp_path, cfg)]
+    assert main(["generate"] + argv) == 0
+    for summary in ("compiled 2, reused 0, failed 2 of 4 matrix entries",
+                    "compiled 0, reused 2, failed 2 of 4 matrix entries"):
+        capsys.readouterr()
+        assert main(["build"] + argv) == 0
+        assert capsys.readouterr().out.strip() == summary
+    out = cfg.binary("t1", 0, 0)
+    assert (out.with_suffix(".compile.log").read_text().strip()
+            == f"exit code 0 but no binary at {out}")
+
+    # a binary left by an earlier compile does not pass for this one's
+    out.write_text("stale")
+    res = compile_test(cfg.test_source(0, 0), cfg.toolchains[1], out)
+    assert not res.ok and res.diagnostics == f"exit code 0 but no binary at {out}"
+
+
+def test_unknown_compiler_stops_the_build_before_any_compile(
+        tmp_path, fakecc, compiles, capsys):
+    ghost = ToolchainSpec(id="ghost",
+                          template="no-such-compiler-xyz {flags} {src} -o {out}")
+    cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"]) + [ghost])
+    generate_tests(cfg)
+    with pytest.raises(ToolchainError, match="ghost"):
+        build_matrix(cfg)
+    capsys.readouterr()
+    assert main(["build", "--config", _cli_config(tmp_path, cfg)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'ghost'" in err and "no-such-compiler-xyz" in err
+    assert compiles == []
+    assert not (cfg.campaign_dir / "_bin").exists()
 
 
 def test_other_seed_reruns_every_record_and_analyze_sees_only_new_stamps(

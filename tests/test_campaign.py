@@ -202,14 +202,6 @@ def test_compile_success_and_failure(toolchain, tmp_path):
     assert res.diagnostics  # compiler output captured verbatim
 
 
-def test_unknown_compiler_is_config_error(tmp_path):
-    src = tmp_path / "x.cpp"
-    src.write_text("int main(){}\n")
-    ghost = ToolchainSpec(id="ghost", template="no-such-compiler-xyz {src} -o {out}")
-    with pytest.raises(ToolchainError):
-        compile_test(src, ghost, tmp_path / "x")
-
-
 def test_template_placeholders_required():
     with pytest.raises(ToolchainError):
         ToolchainSpec(id="bad", template="g++ {src}").validate()
@@ -254,8 +246,6 @@ def test_build_before_generate_errors(tmp_path, toolchains):
 
 
 def test_run_campaign_record_accounting(tmp_path, toolchains):
-    if len(toolchains) < 2:
-        pytest.skip("needs two toolchains")
     cfg = _config(tmp_path, toolchains[:2])
     records = run_campaign(cfg)
     assert len(records) == 2 * 2 * 2  # toolchains x tests x inputs
@@ -265,8 +255,6 @@ def test_run_campaign_record_accounting(tmp_path, toolchains):
 
 
 def test_campaign_resumes_without_duplicates(tmp_path, toolchains):
-    if len(toolchains) < 2:
-        pytest.skip("needs two toolchains")
     cfg = _config(tmp_path, toolchains[:2])
     full = run_campaign(cfg)
 
@@ -283,8 +271,6 @@ def test_campaign_resumes_without_duplicates(tmp_path, toolchains):
 
 
 def test_compile_fail_becomes_records_not_abort(tmp_path, toolchains):
-    if len(toolchains) < 2:
-        pytest.skip("needs two toolchains")
     cfg = _config(tmp_path, toolchains[:2])
     generate_tests(cfg)
     # sabotage one source for every toolchain

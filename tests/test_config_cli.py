@@ -1,14 +1,15 @@
 import json
 import textwrap
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 import yaml
 
 from ompdiff.analysis import AnalysisParams
 from ompdiff.campaign import CampaignConfig
-from ompdiff.cli import EXIT_ERROR, EXIT_OK, EXIT_OUTLIERS, main
-from ompdiff.config import ConfigError, describe, load_config
+from ompdiff.cli import EXIT_ERROR, EXIT_OK, EXIT_OUTLIERS, OVERRIDES, main
+from ompdiff.config import ConfigError, _settable, describe, load_config
 from ompdiff.nodes import GeneratorParams
 
 from test_analysis import slow_fixture_records
@@ -198,8 +199,6 @@ def test_cli_bad_config_exit_code(tmp_path, capsys):
 
 
 def test_cli_run_before_generate_is_dependency_error(tmp_path, toolchains, capsys):
-    if len(toolchains) < 2:
-        pytest.skip("needs two toolchains")
     cfg = tame_cli_config(tmp_path, toolchains[:2])
     assert main(["run", "--config", str(cfg)]) == EXIT_ERROR
     err = capsys.readouterr().err
@@ -273,8 +272,6 @@ def test_cli_analysis_threshold_overrides(tmp_path, toolchains, capsys):
 
 
 def test_cli_all_runs_the_full_pipeline(tmp_path, toolchains, capsys):
-    if len(toolchains) < 2:
-        pytest.skip("needs two toolchains")
     cfg = tame_cli_config(tmp_path, toolchains[:2])
     code = main(["all", "--config", str(cfg)])
     assert code in (EXIT_OK, EXIT_OUTLIERS)  # outliers depend on host timing
@@ -355,6 +352,42 @@ def test_mistyped_value_is_refused_alike_in_file_and_flag(tmp_path, capsys, flag
     in_file.write_text(yaml.safe_dump(data))
     assert main(["validate-config", "--config", str(in_file)]) == EXIT_ERROR
     assert capsys.readouterr().err == line
+
+
+FLOAT_FIELDS = [(section, name)
+                for section, cls in (("generator", GeneratorParams),
+                                     ("campaign", CampaignConfig),
+                                     ("analysis", AnalysisParams))
+                for name, kind in _settable(cls).items() if kind is float]
+FLAGS = {name: flag for flag, name, _ in OVERRIDES}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, name", FLOAT_FIELDS)
+def test_non_finite_float_is_refused_alike_in_file_and_flag(tmp_path, capsys, section,
+                                                           name, value):
+    error = f"{section}.{name}: expected float, got {value!r}"
+    cfg = paper_config(tmp_path, tmp_path / "c")
+    data = yaml.safe_load(cfg.read_text())
+    data.setdefault(section, {})[name] = float(value)
+    in_file = tmp_path / "in_file.yaml"
+    in_file.write_text(yaml.safe_dump(data))
+    assert main(["analyze", "--config", str(in_file)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"config error: {error}\n"
+
+    with pytest.raises(ConfigError) as info:
+        load_config(cfg, {f"{section}.{name}": value})
+    assert info.value.errors == [error]
+    if f"{section}.{name}" in FLAGS:
+        flag = FLAGS[f"{section}.{name}"]
+        assert main(["analyze", "--config", str(cfg), f"{flag}={value}"]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"config error: {error}\n"
+
+
+@pytest.mark.parametrize("name", ["campaign.yaml", "offline.yaml"])
+def test_the_bench_configs_load(name):
+    loaded = load_config(Path(__file__).parents[1] / "perfbench" / name)
+    assert [t.id for t in loaded.campaign.toolchains] == ["gcc-O3", "gcc-O2", "gcc-O0"]
 
 
 def test_validate_config_echoes_overrides(tmp_path, capsys):
