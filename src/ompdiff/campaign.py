@@ -53,11 +53,6 @@ class ToolchainSpec:
     flags: list[str] = field(default_factory=list)
     env: dict[str, str] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        if "{src}" not in self.template or "{out}" not in self.template:
-            raise ToolchainError(
-                f"toolchain {self.id!r}: template needs {{src}} and {{out}} placeholders")
-
     def command(self, src: str, out: str) -> list[str]:
         argv = []
         for word in shlex.split(self.template):
@@ -121,22 +116,6 @@ class CampaignConfig:
     inputs_per_test: int = 3
     timeout_seconds: float = 60.0
     repetitions: int = 1
-
-    def validate(self) -> None:
-        if len(self.toolchains) < 2:
-            raise CampaignError("differential testing needs at least 2 toolchains")
-        ids = [t.id for t in self.toolchains]
-        if len(set(ids)) != len(ids):
-            raise CampaignError("toolchain ids must be unique")
-        for tc in self.toolchains:
-            tc.validate()
-        if self.timeout_seconds <= 0:
-            raise CampaignError("timeout_seconds must be > 0")
-        if self.repetitions < 1:
-            raise CampaignError("repetitions must be >= 1")
-        if min(self.n_groups, self.tests_per_group, self.inputs_per_test) < 1:
-            raise CampaignError("campaign sizes must be >= 1")
-        self.generator.validate()
 
     # --- layout ---
 
@@ -451,7 +430,12 @@ def _run_jobs(config: CampaignConfig, matrix) -> list[_RunJob]:
             if not inputs_path.exists():
                 raise CampaignError(
                     f"missing inputs {inputs_path}; run the generate stage first")
-            inputs[group, test] = read_inputs_file(inputs_path)[:config.inputs_per_test]
+            samples = read_inputs_file(inputs_path)
+            if len(samples) < config.inputs_per_test:
+                raise CampaignError(
+                    f"{inputs_path} holds {len(samples)} of {config.inputs_per_test} "
+                    "inputs; run the generate stage first")
+            inputs[group, test] = samples[:config.inputs_per_test]
         binary = config.binary(tc.id, group, test)
         built = _cached_compile(binary, key)
         if built is None:
@@ -511,12 +495,3 @@ def execute_matrix(config: CampaignConfig, *, matrix: Optional[list] = None
             log.flush()
             records.append(rec)
     return records
-
-
-def run_campaign(config: CampaignConfig) -> list[RunRecord]:
-    """Full generate -> build -> execute cycle; resumable at the record level."""
-    config.validate()
-    generate_tests(config)
-    matrix = list(_matrix(config))
-    build_matrix(config, matrix=matrix)
-    return execute_matrix(config, matrix=matrix)

@@ -9,7 +9,7 @@ from pathlib import Path
 import yaml
 
 from .analysis import AnalysisError, AnalysisParams
-from .campaign import CampaignConfig, CampaignError, ToolchainError, ToolchainSpec
+from .campaign import CampaignConfig, ToolchainSpec
 from .nodes import GeneratorParams, ParamError
 
 
@@ -92,16 +92,25 @@ def _toolchains(raw, errors: list[str]) -> list[ToolchainSpec]:
                                    env={str(k): str(v) for k, v in env.items()}))
     if specs and len(specs) < 2:
         errors.append("toolchains: differential testing needs at least 2 toolchains")
+    ids = [t.id for t in specs]
+    if len(set(ids)) != len(ids):
+        errors.append("campaign: toolchain ids must be unique")
+    for tc in specs:
+        if "{src}" not in tc.template or "{out}" not in tc.template:
+            errors.append(f"campaign: toolchain {tc.id!r}: template needs "
+                          f"{{src}} and {{out}} placeholders")
     return specs
 
 
 def load_config(path, overrides=None) -> LoadedConfig:
     """Parse and validate a campaign config; raises ConfigError listing every
-    bad field. `overrides` maps file fields (`campaign_dir`,
-    `generator.rng_seed`, ...) to values that replace the file's before any
-    field is typed or checked. Omitted fields take the defaults of
-    GeneratorParams, CampaignConfig and AnalysisParams (the analysis
-    thresholds among them)."""
+    bad field. The generator and analysis sections report only their first
+    bad value: `GeneratorParams.validate` and `AnalysisParams.validate`,
+    which also guard `generate_program` and `analyze_campaign`, stop there.
+    `overrides` maps file fields (`campaign_dir`, `generator.rng_seed`, ...)
+    to values that replace the file's before any field is typed or checked.
+    Omitted fields take the defaults of GeneratorParams, CampaignConfig and
+    AnalysisParams (the analysis thresholds among them)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file {path} does not exist"])
@@ -132,6 +141,15 @@ def load_config(path, overrides=None) -> LoadedConfig:
         # region, so the config must state it
         errors.append("generator.num_threads: field is required")
     camp_kwargs = _coerce("campaign", data.get("campaign"), CampaignConfig, errors)
+    # a field the section leaves out has its default, which passes
+    settings = {f.name: f.default for f in fields(CampaignConfig)} | camp_kwargs
+    if settings["timeout_seconds"] <= 0:
+        errors.append("campaign: timeout_seconds must be > 0")
+    if settings["repetitions"] < 1:
+        errors.append("campaign: repetitions must be >= 1")
+    if min(settings["n_groups"], settings["tests_per_group"],
+           settings["inputs_per_test"]) < 1:
+        errors.append("campaign: campaign sizes must be >= 1")
     ana_kwargs = _coerce("analysis", data.get("analysis"), AnalysisParams, errors)
 
     generator = None
@@ -154,18 +172,10 @@ def load_config(path, overrides=None) -> LoadedConfig:
     elif not isinstance(campaign_dir, str):
         errors.append(f"campaign_dir: expected a path, got {campaign_dir!r}")
 
-    campaign = None
-    if not errors:
-        campaign = CampaignConfig(campaign_dir=Path(campaign_dir),
-                                  toolchains=toolchains, generator=generator,
-                                  **camp_kwargs)
-        try:
-            campaign.validate()
-        except (CampaignError, ToolchainError) as exc:
-            errors.append(f"campaign: {exc}")
-
     if errors:
         raise ConfigError(errors)
+    campaign = CampaignConfig(campaign_dir=Path(campaign_dir), toolchains=toolchains,
+                              generator=generator, **camp_kwargs)
     return LoadedConfig(campaign=campaign, analysis=analysis)
 
 

@@ -32,13 +32,11 @@ from random import Random
 from typing import Optional, Union
 
 from .nodes import (
-    ARITH_OPS, ASSIGN_OPS, BOOL_OPS, COMP, MATH_FUNCS, THREAD_ID,
+    ARITH_OPS, ASSIGN_OPS, BOOL_OPS, COMP, MATH_FUNCS, PARAM_KINDS, THREAD_ID,
     ArrayRef, Assignment, BinOp, Block, BoolExpr, Critical, Expr, ForLoop,
     GeneratorParams, IfBlock, MathCall, Num, OmpParallel, ParamDecl, Paren,
     Program, Statement, TempDecl, VarTerm,
 )
-
-PARAM_KINDS = ("int-scalar", "fp-scalar", "fp-array")
 
 
 @dataclass

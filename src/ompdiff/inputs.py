@@ -35,7 +35,6 @@ FP_CLASSES = tuple(FpClass)
 
 @dataclass(frozen=True)
 class FpFormat:
-    name: str
     min_normal: float
     max_finite: float
     min_exp: int  # exponent of min_normal
@@ -44,9 +43,9 @@ class FpFormat:
 
 
 FORMATS = {
-    "single": FpFormat("single", 2.0 ** -126, (2.0 - 2.0 ** -23) * 2.0 ** 127,
+    "single": FpFormat(2.0 ** -126, (2.0 - 2.0 ** -23) * 2.0 ** 127,
                        -126, 127, 23),
-    "double": FpFormat("double", 2.0 ** -1022, (2.0 - 2.0 ** -52) * 2.0 ** 1023,
+    "double": FpFormat(2.0 ** -1022, (2.0 - 2.0 ** -52) * 2.0 ** 1023,
                        -1022, 1023, 52),
 }
 

@@ -12,6 +12,7 @@ ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=")
 ARITH_OPS = ("+", "-", "*", "/")
 BOOL_OPS = ("<", ">", "==", "!=", ">=", "<=")
 REDUCTION_OPS = ("+", "*")
+PARAM_KINDS = ("int-scalar", "fp-scalar", "fp-array")
 
 # Unary math functions total over the reals.
 MATH_FUNCS = ("sin", "cos", "exp", "fabs", "cbrt")
@@ -164,11 +165,11 @@ LINE_STATEMENTS = (Assignment, TempDecl)
 @dataclass(frozen=True)
 class ParamDecl:
     name: str
-    kind: str  # "int-scalar" | "fp-scalar" | "fp-array"
+    kind: str  # one of PARAM_KINDS
     precision: Optional[str] = None  # "single" | "double" for fp kinds
 
     def __post_init__(self):
-        if self.kind not in ("int-scalar", "fp-scalar", "fp-array"):
+        if self.kind not in PARAM_KINDS:
             raise ValueError(f"unknown parameter kind: {self.kind}")
         if self.kind.startswith("fp") and self.precision not in ("single", "double"):
             raise ValueError(f"fp parameter {self.name} needs a precision")

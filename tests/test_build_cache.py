@@ -18,12 +18,11 @@ import ompdiff.campaign as campaign
 import ompdiff.cli as cli
 from ompdiff.campaign import (CampaignError, RunRecord, ToolchainError,
                               ToolchainSpec, build_matrix, compile_test,
-                              execute_matrix, generate_tests, load_records,
-                              run_campaign)
+                              execute_matrix, generate_tests, load_records)
 from ompdiff.cli import EXIT_ERROR, main
 from ompdiff.config import load_config
 
-from test_campaign import (TAME, _config, copying_toolchains,  # noqa: F401
+from test_campaign import (_cli_config, _config, copying_toolchains,  # noqa: F401
                            fixtures, script)
 
 FAKECC = """
@@ -74,27 +73,6 @@ def compiles(monkeypatch):
     return calls
 
 
-def _cli_config(tmp_path, cfg):
-    path = tmp_path / "campaign.yaml"
-    path.write_text(yaml.safe_dump({
-        "campaign_dir": str(cfg.campaign_dir),
-        "toolchains": [{"id": t.id, "template": t.template, "flags": t.flags}
-                       for t in cfg.toolchains],
-        "campaign": {"n_groups": cfg.n_groups, "tests_per_group": cfg.tests_per_group,
-                     "inputs_per_test": cfg.inputs_per_test,
-                     "timeout_seconds": cfg.timeout_seconds},
-        "generator": {"max_expression_size": TAME.max_expression_size,
-                      "max_nesting_levels": TAME.max_nesting_levels,
-                      "max_lines_in_block": TAME.max_lines_in_block,
-                      "array_size": TAME.array_size,
-                      "max_same_level_blocks": TAME.max_same_level_blocks,
-                      "math_func_allowed": TAME.math_func_allowed,
-                      "math_func_probability": TAME.math_func_probability,
-                      "num_threads": TAME.num_threads, "rng_seed": TAME.rng_seed},
-    }))
-    return str(path)
-
-
 def test_second_all_compiles_nothing_and_leaves_the_log_byte_identical(
         tmp_path, fakecc, compiles, capsys):
     cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"], ["-O0"]))
@@ -119,7 +97,7 @@ def test_second_all_compiles_nothing_and_leaves_the_log_byte_identical(
 def test_changing_a_toolchains_flags_recompiles_only_that_toolchain(
         tmp_path, fakecc, compiles):
     cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"], ["-O0"]))
-    run_campaign(cfg)
+    assert main(["all", "--config", _cli_config(tmp_path, cfg)]) == 0
     before = {r.key: r for r in load_records(cfg.records_path())}
     compiles.clear()
 
@@ -140,7 +118,8 @@ def test_changing_a_toolchains_flags_recompiles_only_that_toolchain(
 
 def test_cached_compile_failure_is_not_compiled_again(tmp_path, fakecc, compiles):
     cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"], ["--fail"]))
-    first = run_campaign(cfg)
+    assert main(["all", "--config", _cli_config(tmp_path, cfg)]) == 0
+    first = load_records(cfg.records_path())
     failed = [r for r in first if r.status == "COMPILE_FAIL"]
     assert len(failed) == 2 * 2 and {r.toolchain for r in failed} == {"t1"}
     log = cfg.records_path().read_bytes()
@@ -352,6 +331,21 @@ def test_run_after_a_new_generate_refuses_and_leaves_the_log_byte_identical(
     capsys.readouterr()
     assert main(["run"] + argv) == EXIT_ERROR
     assert "run the build stage first" in capsys.readouterr().err
+    assert cfg.records_path().read_bytes() == log
+
+
+def test_run_refuses_an_inputs_file_shorter_than_inputs_per_test(
+        tmp_path, fakecc, capsys):
+    cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"], ["-O0"]))
+    assert main(["all", "--config", _cli_config(tmp_path, cfg)]) == 0
+    log = cfg.records_path().read_bytes()
+    argv = ["--config", _cli_config(tmp_path, replace(cfg, inputs_per_test=3))]
+    assert main(["build"] + argv) == 0
+    capsys.readouterr()
+    assert main(["run"] + argv) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {cfg.test_inputs(0, 0)} holds 2 of 3 inputs; "
+        "run the generate stage first\n")
     assert cfg.records_path().read_bytes() == log
 
 

@@ -1,16 +1,18 @@
 import stat
 import textwrap
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 import ompdiff.campaign as campaign
 from ompdiff.campaign import (CampaignConfig, CampaignError, CompileResult,
-                              ExecResult, RunRecord, ToolchainError, ToolchainSpec,
+                              ExecResult, RunRecord, ToolchainSpec,
                               build_matrix, compile_test, execute,
-                              execute_matrix, generate_tests, load_records,
-                              run_campaign)
+                              execute_matrix, generate_tests, load_records)
+from ompdiff.cli import EXIT_OK, EXIT_OUTLIERS, main
+from ompdiff.config import ConfigError, load_config
 from ompdiff.nodes import GeneratorParams
 
 TAME = GeneratorParams(max_expression_size=4, max_nesting_levels=2,
@@ -202,11 +204,6 @@ def test_compile_success_and_failure(toolchain, tmp_path):
     assert res.diagnostics  # compiler output captured verbatim
 
 
-def test_template_placeholders_required():
-    with pytest.raises(ToolchainError):
-        ToolchainSpec(id="bad", template="g++ {src}").validate()
-
-
 def _config(tmp_path, toolchains, **kw):
     defaults = dict(campaign_dir=tmp_path / "campaign", toolchains=toolchains,
                     generator=TAME, n_groups=1, tests_per_group=2,
@@ -215,10 +212,28 @@ def _config(tmp_path, toolchains, **kw):
     return CampaignConfig(**defaults)
 
 
-def test_config_requires_two_toolchains(tmp_path, toolchain):
-    cfg = _config(tmp_path, [toolchain])
-    with pytest.raises(CampaignError):
-        cfg.validate()
+def _cli_config(tmp_path, cfg):
+    """`cfg` written as a config file, for `load_config` and `main`."""
+    path = tmp_path / "campaign.yaml"
+    path.write_text(yaml.safe_dump({
+        "campaign_dir": str(cfg.campaign_dir),
+        "toolchains": [{"id": t.id, "template": t.template, "flags": t.flags}
+                       for t in cfg.toolchains],
+        "campaign": {"n_groups": cfg.n_groups, "tests_per_group": cfg.tests_per_group,
+                     "inputs_per_test": cfg.inputs_per_test,
+                     "timeout_seconds": cfg.timeout_seconds},
+        "generator": asdict(cfg.generator),
+    }))
+    return str(path)
+
+
+def test_template_placeholders_required(tmp_path):
+    cfg = _config(tmp_path, [ToolchainSpec(id="bad", template="g++ {src}"),
+                             ToolchainSpec(id="good", template="g++ {src} -o {out}")])
+    with pytest.raises(ConfigError) as info:
+        load_config(_cli_config(tmp_path, cfg))
+    assert info.value.errors == [
+        "campaign: toolchain 'bad': template needs {src} and {out} placeholders"]
 
 
 def test_campaign_layout_paths(tmp_path, toolchains):
@@ -245,18 +260,24 @@ def test_build_before_generate_errors(tmp_path, toolchains):
         build_matrix(cfg)
 
 
-def test_run_campaign_record_accounting(tmp_path, toolchains):
+def _all(tmp_path, cfg) -> list[RunRecord]:
+    """The record log after `ompdiff all` over `cfg`."""
+    code = main(["all", "--config", _cli_config(tmp_path, cfg)])
+    assert code in (EXIT_OK, EXIT_OUTLIERS)  # outliers depend on host timing
+    return load_records(cfg.records_path())
+
+
+def test_all_record_accounting(tmp_path, toolchains):
     cfg = _config(tmp_path, toolchains[:2])
-    records = run_campaign(cfg)
+    records = _all(tmp_path, cfg)
     assert len(records) == 2 * 2 * 2  # toolchains x tests x inputs
     keys = {r.key for r in records}
     assert len(keys) == len(records)
-    assert load_records(cfg.records_path()) == records
 
 
 def test_campaign_resumes_without_duplicates(tmp_path, toolchains):
     cfg = _config(tmp_path, toolchains[:2])
-    full = run_campaign(cfg)
+    full = _all(tmp_path, cfg)
 
     # simulate a driver crash: keep only the first three records
     lines = cfg.records_path().read_text().splitlines()
@@ -284,7 +305,7 @@ def test_compile_fail_becomes_records_not_abort(tmp_path, toolchains):
     assert len(failed) == 4  # 2 toolchains x 2 inputs
 
 
-def test_compile_failure_gets_the_same_record_from_run_campaign_and_run(
+def test_compile_failure_gets_the_same_record_from_all_and_run(
         tmp_path, toolchain):
     broken = replace(toolchain, id="broken",
                      flags=toolchain.flags + ["-fno-such-flag-xyz"])
@@ -294,7 +315,7 @@ def test_compile_failure_gets_the_same_record_from_run_campaign_and_run(
         return {r.key: (r.status, r.exit) for r in records
                 if r.status == "COMPILE_FAIL"}
 
-    first = compile_fails(run_campaign(cfg))
+    first = compile_fails(_all(tmp_path, cfg))
     cfg.records_path().write_text("")
     second = compile_fails(execute_matrix(cfg))
     assert len(first) == 2 * 2  # tests x inputs of the broken toolchain

@@ -111,6 +111,37 @@ def test_single_toolchain_rejected(tmp_path):
         load_config(path)
 
 
+def test_every_bad_campaign_and_toolchain_field_is_reported(tmp_path, capsys):
+    path = write_config(tmp_path, f"""
+        campaign_dir: {tmp_path / 'c'}
+        toolchains:
+          - id: gcc
+            template: "g++ {{flags}} {{src}} -o {{out}}"
+          - id: gcc
+            template: "g++ {{flags}} {{src}}"
+        generator:
+          num_threads: 0
+        campaign:
+          n_groups: 0
+          timeout_seconds: 0
+          repetitions: 0
+    """)
+    expected = {
+        "campaign: toolchain ids must be unique",
+        "campaign: toolchain 'gcc': template needs {src} and {out} placeholders",
+        "campaign: timeout_seconds must be > 0",
+        "campaign: repetitions must be >= 1",
+        "campaign: campaign sizes must be >= 1",
+        "generator: num_threads must be a positive integer",
+    }
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert sorted(info.value.errors) == sorted(expected)
+    assert main(["validate-config", "--config", str(path)]) == EXIT_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert sorted(err) == sorted(f"config error: {line}" for line in expected)
+
+
 def test_missing_toolchains_section(tmp_path):
     path = write_config(tmp_path, f"campaign_dir: {tmp_path / 'c'}\n")
     with pytest.raises(ConfigError, match="toolchains"):
