@@ -75,6 +75,9 @@ def _toolchains(raw, errors: list[str]) -> list[ToolchainSpec]:
         if not isinstance(entry, dict):
             errors.append(f"toolchains[{i}]: expected a mapping")
             continue
+        for key in entry:
+            if key not in ("id", "template", "flags", "env"):
+                errors.append(f"toolchains[{i}].{key}: unknown field")
         missing = [k for k in ("id", "template") if k not in entry]
         if missing:
             errors.append(f"toolchains[{i}]: missing {', '.join(missing)}")
@@ -185,8 +188,10 @@ def describe(loaded: LoadedConfig) -> str:
     c = loaded.campaign
     lines = [
         f"campaign_dir: {c.campaign_dir}",
-        "toolchains: " + ", ".join(f"{t.id} ({t.template}, flags={' '.join(t.flags)})"
-                                   for t in c.toolchains),
+        "toolchains: " + ", ".join(
+            f"{t.id} ({t.template}, flags={' '.join(t.flags)}, "
+            f"env={' '.join(f'{k}={v}' for k, v in t.env.items())})"
+            for t in c.toolchains),
     ]
     for section, values in (("generator", c.generator), ("campaign", c),
                             ("analysis", loaded.analysis)):

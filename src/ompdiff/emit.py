@@ -100,7 +100,7 @@ class _Emitter:
         if isinstance(stmt, Assignment):
             self.put(depth, f"{self.target(stmt.target)} {stmt.op} {self.expr(stmt.expr)};")
         elif isinstance(stmt, TempDecl):
-            self.put(depth, f"{CTYPE[stmt.precision]} {stmt.name} = {self.expr(stmt.init)};")
+            self.put(depth, f"{self.ctype} {stmt.name} = {self.expr(stmt.init)};")
         elif isinstance(stmt, IfBlock):
             self.uses_thread_id |= stmt.cond.lhs == THREAD_ID
             self.put(depth, f"if ({stmt.cond.lhs} {stmt.cond.op} "
@@ -149,8 +149,8 @@ class _Emitter:
         if d.kind == "int-scalar":
             return f"int {d.name}"
         if d.kind == "fp-scalar":
-            return f"{CTYPE[d.precision]} {d.name}"
-        return f"{CTYPE[d.precision]}* {d.name}"
+            return f"{self.ctype} {d.name}"
+        return f"{self.ctype}* {d.name}"
 
     def emit(self) -> str:
         p = self.program

@@ -168,8 +168,7 @@ def _gen_expr(ctx: _Ctx, pool: _Pool) -> Expr:
 
 def _gen_bool(ctx: _Ctx, pool: _Pool) -> BoolExpr:
     rng = ctx.rng
-    lhs_pool = pool.fp + pool.ints + pool.indices
-    lhs = rng.choice(lhs_pool) if lhs_pool else COMP
+    lhs = rng.choice(pool.fp + pool.ints + pool.indices)
     return BoolExpr(lhs, rng.choice(BOOL_OPS), _gen_expr(ctx, pool))
 
 
@@ -188,7 +187,7 @@ def _gen_serial_line(ctx: _Ctx) -> Statement:
     pool = _serial_pool(ctx)
     if kind == "temp_decl":
         name = ctx.fresh_name()
-        stmt: Statement = TempDecl(ctx.precision, name, _gen_expr(ctx, pool))
+        stmt: Statement = TempDecl(name, _gen_expr(ctx, pool))
         ctx.fp_scalars.append(name)
         return stmt
     op = rng.choice(ASSIGN_OPS)
@@ -214,8 +213,7 @@ def _gen_region_loop_line(ctx: _Ctx) -> Statement:
     kind = rng.choice(kinds)
     if kind == "local_decl":
         name = ctx.fresh_name()
-        stmt: Statement = TempDecl(ctx.precision, name,
-                                   _gen_expr(ctx, _region_det_pool(ctx)))
+        stmt: Statement = TempDecl(name, _gen_expr(ctx, _region_det_pool(ctx)))
         ctx.region_locals.append(name)
         return stmt
     if kind == "local_assign":
@@ -262,16 +260,13 @@ def _gen_critical(ctx: _Ctx) -> Critical:
                                     _gen_expr(crit, _region_det_pool(crit, with_tid=True))))
         else:
             name = crit.fresh_name()
-            stmts.append(TempDecl(crit.precision, name,
-                                  _gen_expr(crit, _region_det_pool(crit))))
+            stmts.append(TempDecl(name, _gen_expr(crit, _region_det_pool(crit))))
             crit.region_locals.append(name)
     return Critical(Block(stmts))
 
 
-def _critical_eligible(ctx: _Ctx, depth: int) -> bool:
+def _critical_eligible(ctx: _Ctx) -> bool:
     if ctx.region is None or not ctx.in_region_loop:
-        return False
-    if depth + 1 > ctx.p.max_nesting_levels:
         return False
     r = ctx.region
     comp_open = (not r.reduction) and (not r.comp_written)
@@ -315,10 +310,9 @@ def _gen_block(ctx: _Ctx, depth: int) -> Block:
                          else _gen_serial_line(local))
             continue
         kinds = ["if", "for"]
-        if (local.region is None and depth + 2 <= p.max_nesting_levels
-                and p.max_same_level_blocks >= 1):
+        if local.region is None and depth + 2 <= p.max_nesting_levels:
             kinds.append("omp")
-        if _critical_eligible(local, depth):
+        if _critical_eligible(local):
             kinds.append("critical")
         kind = rng.choice(kinds)
         if kind == "if":
@@ -334,36 +328,21 @@ def _gen_block(ctx: _Ctx, depth: int) -> Block:
 
 # --- parallel regions ---
 
-def assign_data_sharing(region: OmpParallel, visible_vars, rng: Random,
-                        arrays=()) -> dict[str, str]:
-    """Total data-sharing attribute map for one parallel region.
-
-    Visible variables draw uniformly from {shared, private, firstprivate};
-    arrays stay shared (privatizing the pointer would leave each copy
-    pointing nowhere) and comp is shared unless the region reduces into it.
-    """
-    sharing: dict[str, str] = {}
-    arrays = set(arrays)
-    for name in visible_vars:
-        if name == COMP:
-            continue
-        if name in arrays:
-            sharing[name] = "shared"
-        else:
-            sharing[name] = rng.choice(("shared", "private", "firstprivate"))
-    sharing[COMP] = "reduction" if region.reduction else "shared"
-    return sharing
+def assign_data_sharing(scalars, rng: Random) -> dict[str, str]:
+    """Data-sharing attribute of each scalar visible to one parallel region,
+    drawn uniformly from {shared, private, firstprivate}. Arrays stay shared
+    (privatizing the pointer would leave each copy pointing nowhere) and comp
+    is shared unless the region reduces into it, so neither takes a draw."""
+    return {name: rng.choice(("shared", "private", "firstprivate"))
+            for name in scalars}
 
 
 def _gen_omp(ctx: _Ctx, depth: int) -> OmpParallel:
     rng = ctx.rng
     p = ctx.p
     reduction = "+" if rng.random() < 0.5 else None
-    shell = OmpParallel(private=(), firstprivate=(), reduction=reduction,
-                        num_threads=p.num_threads, body=Block([]))
-    scalars = list(ctx.fp_scalars) + list(ctx.int_params)
-    arrays = ctx.serial_arrays + ctx.sink_arrays
-    sharing = assign_data_sharing(shell, scalars + arrays, rng, arrays=arrays)
+    scalars = ctx.fp_scalars + ctx.int_params
+    sharing = assign_data_sharing(scalars, rng)
     private = [v for v in scalars if sharing[v] == "private"]
     firstprivate = [v for v in scalars if sharing[v] == "firstprivate"]
     # private copies must be assigned before the loop; keep room in the block
@@ -404,8 +383,7 @@ def _gen_omp(ctx: _Ctx, depth: int) -> OmpParallel:
                                       _gen_expr(inner, _region_det_pool(inner, with_tid=True))))
         else:
             name = inner.fresh_name()
-            prelude.append(TempDecl(ctx.precision, name,
-                                    _gen_expr(inner, _region_inv_pool(inner, False))))
+            prelude.append(TempDecl(name, _gen_expr(inner, _region_inv_pool(inner, False))))
             region.invariant_fp.append(name)
 
     # a reduction must run on distributed iterations, otherwise every thread
@@ -426,15 +404,11 @@ def _gen_omp(ctx: _Ctx, depth: int) -> OmpParallel:
 
 # --- program assembly ---
 
-def _gen_params(rng: Random, precision: str) -> list[ParamDecl]:
+def _gen_params(rng: Random) -> list[ParamDecl]:
     n = rng.randint(3, 8)
     kinds = list(PARAM_KINDS) + [rng.choice(PARAM_KINDS) for _ in range(n - 3)]
     rng.shuffle(kinds)
-    decls = []
-    for i, kind in enumerate(kinds, start=1):
-        prec = None if kind == "int-scalar" else precision
-        decls.append(ParamDecl(f"var_{i}", kind, prec))
-    return decls
+    return [ParamDecl(f"var_{i}", kind) for i, kind in enumerate(kinds, start=1)]
 
 
 def generate_program(params: GeneratorParams) -> Program:
@@ -442,7 +416,7 @@ def generate_program(params: GeneratorParams) -> Program:
     params.validate()
     rng = Random(params.rng_seed)
     precision = rng.choice(("double", "single"))
-    decls = _gen_params(rng, precision)
+    decls = _gen_params(rng)
     arrays = [d.name for d in decls if d.kind == "fp-array"]
     sinks = [a for a in arrays if rng.random() < 0.5]
     ctx = _Ctx(
@@ -454,5 +428,5 @@ def generate_program(params: GeneratorParams) -> Program:
         sink_arrays=sinks,
     )
     body = _gen_block(ctx, depth=0)
-    return Program(params=decls, body=body, seed=params.rng_seed,
-                   precision=precision, array_size=params.array_size)
+    return Program(params=decls, body=body, precision=precision,
+                   array_size=params.array_size)

@@ -138,7 +138,7 @@ def gen_input_sample(program: Program, rng: Random) -> InputSample:
         else:
             cls = rng.choice(FP_CLASSES)
             values.append(InputValue(decl.name, cls,
-                                     gen_value(cls, decl.precision, rng)))
+                                     gen_value(cls, program.precision, rng)))
     return InputSample(values)
 
 

@@ -114,7 +114,6 @@ class Assignment:
 
 @dataclass
 class TempDecl:
-    precision: str
     name: str
     init: Expr
 
@@ -166,21 +165,19 @@ LINE_STATEMENTS = (Assignment, TempDecl)
 class ParamDecl:
     name: str
     kind: str  # one of PARAM_KINDS
-    precision: Optional[str] = None  # "single" | "double" for fp kinds
 
     def __post_init__(self):
         if self.kind not in PARAM_KINDS:
             raise ValueError(f"unknown parameter kind: {self.kind}")
-        if self.kind.startswith("fp") and self.precision not in ("single", "double"):
-            raise ValueError(f"fp parameter {self.name} needs a precision")
 
 
 @dataclass
 class Program:
     params: list[ParamDecl]
     body: Block
-    seed: int
-    precision: str = "double"  # precision of comp and of generated temporaries
+    # "single" | "double": the type of comp, every fp parameter and every
+    # temporary
+    precision: str = "double"
     array_size: int = 1000  # element count of every array parameter
 
 
@@ -188,14 +185,8 @@ def walk_statements(block: Block):
     """Yield every statement under `block`, parents before children."""
     for stmt in block.statements:
         yield stmt
-        for child in child_blocks(stmt):
-            yield from walk_statements(child)
-
-
-def child_blocks(stmt: Statement) -> list[Block]:
-    if isinstance(stmt, (IfBlock, ForLoop, OmpParallel, Critical)):
-        return [stmt.body]
-    return []
+        if isinstance(stmt, (IfBlock, ForLoop, OmpParallel, Critical)):
+            yield from walk_statements(stmt.body)
 
 
 def leaves(expr: Expr) -> list[Expr]:

@@ -56,6 +56,9 @@ class _Validator:
         self.out.append(Violation(path, rule, message))
 
     def run(self) -> list[Violation]:
+        if self.program.precision not in ("single", "double"):
+            self.err("precision", "type",
+                     f"precision {self.program.precision!r} is neither single nor double")
         names = [d.name for d in self.program.params]
         if len(set(names)) != len(names):
             self.err("params", "scope", "duplicate parameter names")
@@ -108,6 +111,11 @@ class _Validator:
             if env.region is None:
                 self.err(path, "subscript",
                          "thread-id subscript outside a parallel region")
+            elif env.region.num_threads > self.program.array_size:
+                self.err(path, "subscript",
+                         f"thread-id subscript under num_threads "
+                         f"{env.region.num_threads} can exceed the array length "
+                         f"{self.program.array_size}")
             if ref.modulo:
                 self.err(path, "subscript", "thread-id subscript never uses modulo")
             return

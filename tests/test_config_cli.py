@@ -142,6 +142,27 @@ def test_every_bad_campaign_and_toolchain_field_is_reported(tmp_path, capsys):
     assert sorted(err) == sorted(f"config error: {line}" for line in expected)
 
 
+def test_mistyped_toolchain_keys_are_reported(tmp_path, capsys):
+    # a dropped `flags` would build one toolchain without -fopenmp
+    path = write_config(tmp_path, f"""
+        campaign_dir: {tmp_path / 'c'}
+        toolchains:
+          - id: gcc
+            template: "g++ {{flags}} {{src}} -o {{out}}"
+            flag: ["-O3", "-fopenmp"]
+          - id: gcc-bound
+            template: "g++ {{flags}} {{src}} -o {{out}}"
+            enviroment: {{OMP_PROC_BIND: "true"}}
+        generator:
+          num_threads: 2
+    """)
+    assert main(["validate-config", "--config", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: toolchains[0].flag: unknown field",
+        "config error: toolchains[1].enviroment: unknown field",
+    ]
+
+
 def test_missing_toolchains_section(tmp_path):
     path = write_config(tmp_path, f"campaign_dir: {tmp_path / 'c'}\n")
     with pytest.raises(ConfigError, match="toolchains"):
@@ -422,11 +443,19 @@ def test_the_bench_configs_load(name):
 
 
 def test_validate_config_echoes_overrides(tmp_path, capsys):
-    cfg = paper_config(tmp_path, tmp_path / "c")  # rng_seed 7, default thresholds
+    # rng_seed 7, default thresholds
+    data = yaml.safe_load(paper_config(tmp_path, tmp_path / "c").read_text())
+    data["toolchains"][1]["env"] = {"OMP_PROC_BIND": "true", "OMP_WAIT_POLICY": "passive"}
+    cfg = tmp_path / "env.yaml"
+    cfg.write_text(yaml.safe_dump(data))
     assert main(["validate-config", "--config", str(cfg), "--seed", "9",
                  "--alpha", "0.1", "--beta", "2", "--campaign-dir", "X"]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "campaign_dir: X"
+    # env is part of the build key and the run stamp, so it is shown
+    assert out[1].endswith("flags=-O3 -fopenmp, env=), clang (clang++ {flags} {src} -o "
+                           "{out}, flags=-O3 -fopenmp, "
+                           "env=OMP_PROC_BIND=true OMP_WAIT_POLICY=passive)")
     assert "rng_seed=9" in out[2].split()
     assert {"alpha=0.1", "beta=2.0"} <= set(out[4].split())
 

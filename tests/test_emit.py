@@ -28,7 +28,7 @@ def test_emit_is_deterministic():
 def test_emit_rejects_invalid_program():
     prog = Program(params=[], body=Block([Assignment(VarTerm("ghost"), "=",
                                                      Num("1.0"))]),
-                   seed=0, precision="double", array_size=10)
+                   precision="double", array_size=10)
     with pytest.raises(EmitError, match="validation"):
         emit_source(prog, GeneratorParams())
 
@@ -40,13 +40,13 @@ def test_thread_id_is_declared_once_right_after_the_brace_of_each_region_using_i
         return OmpParallel(private=(), firstprivate=(), reduction="+", num_threads=2,
                            body=Block([stmt, loop]))
     program = Program(
-        params=[ParamDecl("a", "fp-array", "double")],
+        params=[ParamDecl("a", "fp-array")],
         body=Block([
             region(Assignment(ArrayRef("a", THREAD_ID), "=", Num("1.0"))),  # sink
             region(Assignment(VarTerm(COMP), "+=", VarTerm(THREAD_ID))),  # expr
             region(Assignment(VarTerm(COMP), "+=", Num("1.0"))),  # unused
         ]),
-        seed=0, precision="double", array_size=8)
+        precision="double", array_size=8)
     lines = emit_source(program, GeneratorParams(array_size=8, num_threads=2)
                         ).splitlines()
     declaration = f"    int {THREAD_ID} = omp_get_thread_num();"
@@ -245,10 +245,10 @@ def test_compiled_math_call_equals_libm_in_the_programs_precision(
             assert want != ctypes.c_float(_libm(func, ctypes.c_double)(x)).value
     else:
         want = _libm(func, ctypes.c_double)(x)
-    program = Program(params=[ParamDecl("x", "fp-scalar", precision)],
+    program = Program(params=[ParamDecl("x", "fp-scalar")],
                       body=Block([Assignment(VarTerm(COMP), "=",
                                              MathCall(func, VarTerm("x")))]),
-                      seed=0, precision=precision, array_size=8)
+                      precision=precision, array_size=8)
     src = tmp_path / f"{func}_{precision}.cpp"
     src.write_text(emit_source(program, GeneratorParams(array_size=8, num_threads=2)))
     out = tmp_path / f"{func}_{precision}"

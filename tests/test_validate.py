@@ -9,9 +9,9 @@ PARAMS = GeneratorParams(max_expression_size=3, max_nesting_levels=2,
                          math_func_probability=0.0, num_threads=4)
 
 
-def program(body, params=()):
-    return Program(params=list(params), body=body, seed=0,
-                   precision="double", array_size=100)
+def program(body, params=(), precision="double"):
+    return Program(params=list(params), body=body, precision=precision,
+                   array_size=100)
 
 
 def rules(violations):
@@ -37,6 +37,14 @@ def test_expression_size_violation():
     prog = program(Block([Assignment(VarTerm(COMP), "=", expr)]))
     violations = validate_program(prog, PARAMS)
     assert rules(violations) == {"limit.expr"}
+
+
+def test_precision_is_single_or_double():
+    body = Block([Assignment(VarTerm(COMP), "=", Num("1.0"))])
+    for precision in ("single", "double"):
+        assert validate_program(program(body, precision=precision), PARAMS) == []
+    violations = validate_program(program(body, precision="half"), PARAMS)
+    assert [(v.path, v.rule) for v in violations] == [("precision", "type")]
 
 
 def test_undeclared_identifier():
@@ -76,13 +84,13 @@ def region(body_stmts, **kw):
 
 
 def good_region_body(loop_body):
-    return [TempDecl("double", "var_9", Num("0.0")),
+    return [TempDecl("var_9", Num("0.0")),
             ForLoop("i_1", 10, omp_for=True, body=Block(loop_body))]
 
 
 def test_nested_parallel_flagged():
-    inner = region(good_region_body([TempDecl("double", "var_8", Num("0.0"))]))
-    outer = region([TempDecl("double", "var_9", Num("0.0")),
+    inner = region(good_region_body([TempDecl("var_8", Num("0.0"))]))
+    outer = region([TempDecl("var_9", Num("0.0")),
                     ForLoop("i_1", 10, omp_for=True, body=Block([inner]))])
     violations = validate_program(program(Block([outer])), PARAMS)
     assert "omp.nested_parallel" in rules(violations)
@@ -91,7 +99,7 @@ def test_nested_parallel_flagged():
 def test_write_in_a_region_nested_inside_a_critical_is_a_race():
     # the nested team does not hold the enclosing critical's lock
     inner = region(good_region_body([Assignment(VarTerm(COMP), "+=", Num("1.0"))]))
-    outer = region([TempDecl("double", "var_9", Num("0.0")),
+    outer = region([TempDecl("var_9", Num("0.0")),
                     ForLoop("i_1", 10, omp_for=True,
                             body=Block([Critical(Block([inner]))]))])
     violations = validate_program(program(Block([outer])), PARAMS)
@@ -100,7 +108,7 @@ def test_write_in_a_region_nested_inside_a_critical_is_a_race():
 
 
 def test_region_shape_requires_trailing_loop():
-    bad = region([TempDecl("double", "var_9", Num("0.0"))])
+    bad = region([TempDecl("var_9", Num("0.0"))])
     assert "grammar.region_shape" in rules(validate_program(program(Block([bad])),
                                                             PARAMS))
 
@@ -109,7 +117,7 @@ def test_unprotected_shared_writes_flagged():
     loop_body = [Assignment(VarTerm(COMP), "+=", Num("1.0")),
                  Assignment(ArrayRef("var_1", "i_1", modulo=True), "=", Num("1.0"))]
     prog = program(Block([region(good_region_body(loop_body))]),
-                   params=[ParamDecl("var_1", "fp-array", "double")])
+                   params=[ParamDecl("var_1", "fp-array")])
     violations = validate_program(prog, PARAMS)
     assert sum(1 for v in violations if v.rule == "race") == 2
 
@@ -120,7 +128,7 @@ def test_protected_writes_pass():
         Critical(Block([Assignment(VarTerm(COMP), "+=", Num("1.0"))])),
     ]
     prog = program(Block([region(good_region_body(loop_body))]),
-                   params=[ParamDecl("var_1", "fp-array", "double")])
+                   params=[ParamDecl("var_1", "fp-array")])
     deep_enough = GeneratorParams(max_expression_size=3, max_nesting_levels=3,
                                   max_lines_in_block=3, array_size=100,
                                   max_same_level_blocks=1, math_func_allowed=False,
@@ -137,32 +145,51 @@ def test_reduction_write_passes_and_bad_op_flagged():
 
 
 def test_clause_rules():
-    bad = region(good_region_body([TempDecl("double", "var_8", Num("0.0"))]),
+    bad = region(good_region_body([TempDecl("var_8", Num("0.0"))]),
                  private=("ghost",), firstprivate=(COMP,))
     violations = validate_program(program(Block([bad])), PARAMS)
     assert sum(1 for v in violations if v.rule == "omp.clause") == 2
+
+    # a private array pointer would point nowhere in each thread
+    bad = region(good_region_body([TempDecl("var_8", Num("0.0"))]),
+                 private=("var_1",))
+    violations = validate_program(program(Block([bad]),
+                                          params=[ParamDecl("var_1", "fp-array")]),
+                                  PARAMS)
+    assert [v.message for v in violations if v.rule == "omp.clause"] == [
+        "array 'var_1' in a data-sharing clause"]
 
 
 def test_subscript_rules():
     # subscript must be a loop index in scope or the thread id
     prog = program(Block([ForLoop("i_0", 10, omp_for=False, body=Block([
         Assignment(ArrayRef("var_1", "i_9", modulo=True), "=", Num("1.0"))]))]),
-        params=[ParamDecl("var_1", "fp-array", "double")])
+        params=[ParamDecl("var_1", "fp-array")])
     assert "subscript" in rules(validate_program(prog, PARAMS))
 
     # bare index under a bound that exceeds the array length
     prog2 = program(Block([ForLoop("i_0", 5000, omp_for=False, body=Block([
         Assignment(VarTerm(COMP), "=",
                    ArrayRef("var_1", "i_0", modulo=False))]))]),
-        params=[ParamDecl("var_1", "fp-array", "double")])
+        params=[ParamDecl("var_1", "fp-array")])
     assert "subscript" in rules(validate_program(prog2, PARAMS))
 
     # modulo makes the same access safe
     prog3 = program(Block([ForLoop("i_0", 5000, omp_for=False, body=Block([
         Assignment(VarTerm(COMP), "=",
                    ArrayRef("var_1", "i_0", modulo=True))]))]),
-        params=[ParamDecl("var_1", "fp-array", "double")])
+        params=[ParamDecl("var_1", "fp-array")])
     assert validate_program(prog3, PARAMS) == []
+
+    # a thread-id subscript past the array end: 8 threads, 4 elements
+    loop_body = [Assignment(ArrayRef("var_1", "thread_id", modulo=False), "=",
+                            Num("1.0"))]
+    prog4 = Program(params=[ParamDecl("var_1", "fp-array")],
+                    body=Block([region(good_region_body(loop_body), num_threads=8)]),
+                    precision="double", array_size=4)
+    assert rules(validate_program(prog4, PARAMS)) == {"subscript"}
+    prog4.array_size = 8
+    assert validate_program(prog4, PARAMS) == []
 
 
 def test_generated_output_accepted_is_checked_elsewhere():
