@@ -30,18 +30,21 @@ class AnalysisParams:
     min_time_us: int = 1000
     numeric_rel_tol: float = 0.0
 
+    def problems(self) -> list[str]:
+        """One message per field that violates its invariant."""
+        checks = (
+            (self.alpha <= 0, "alpha must be > 0"),
+            (self.beta <= 1, "beta must be > 1"),
+            # otherwise a time could be comparable to the midpoint and an outlier at once
+            (1 < self.beta <= 1 + self.alpha, "beta must exceed 1 + alpha"),
+            (self.min_time_us < 0, "min_time_us must be >= 0"),
+            (self.numeric_rel_tol < 0, "numeric_rel_tol must be >= 0"),
+        )
+        return [message for failed, message in checks if failed]
+
     def validate(self) -> None:
-        if self.alpha <= 0:
-            raise AnalysisError("alpha must be > 0")
-        if self.beta <= 1:
-            raise AnalysisError("beta must be > 1")
-        # otherwise a time could be comparable to the midpoint and an outlier at once
-        if self.beta <= 1 + self.alpha:
-            raise AnalysisError("beta must exceed 1 + alpha")
-        if self.min_time_us < 0:
-            raise AnalysisError("min_time_us must be >= 0")
-        if self.numeric_rel_tol < 0:
-            raise AnalysisError("numeric_rel_tol must be >= 0")
+        if found := self.problems():
+            raise AnalysisError(found[0])
 
 
 class Classification(str, enum.Enum):

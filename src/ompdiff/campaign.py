@@ -4,11 +4,11 @@ execute each binary on every input, and persist run records.
 Compilation fans out across a thread pool; timed executions are strictly
 serialized so measurements never overlap. Both stages are content-addressed:
 a binary is rebuilt only when its build key (source, toolchain, compiler
-identity) changes, and a record is kept on resume only when its stamp
-(build key, input, run settings) still matches. Records append to a
-line-delimited log as they complete, so an interrupted campaign resumes
-without duplicating work. A hanging binary first receives SIGINT and is
-killed after a grace period.
+identity) changes or the binary is gone, and a record is kept on resume
+only when its stamp (build key, input, run settings) still matches. Records
+append to a line-delimited log as they complete, so an interrupted campaign
+resumes without duplicating work. A hanging binary first receives SIGINT
+and is killed after a grace period.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .inputs import gen_input_sample, read_inputs_file, write_inputs_file
 from .nodes import GeneratorParams
 
 HANG_GRACE_SECONDS = 2.0
-STDERR_TAIL_BYTES = 2000  # of a CRASH or HANG run's stderr, kept in its record
+STDERR_TAIL_BYTES = 2000  # of a CRASH or HANG stderr or compile diagnostics, kept
 
 
 class ToolchainError(RuntimeError):
@@ -92,7 +92,7 @@ class RunRecord:
     exit: Optional[str] = None
     stamp: Optional[str] = None  # see _run_stamp; None in logs that predate it
     wall_us: Optional[int] = None  # spawn to exit; not part of the stamp
-    stderr: Optional[str] = None  # the tail of a CRASH or HANG run's stderr
+    stderr: Optional[str] = None  # a CRASH or HANG run's stderr, or compile diagnostics
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -216,19 +216,16 @@ def _build_key(source: bytes, toolchain: ToolchainSpec, fingerprint: str) -> str
 
 
 def _cached_compile(out: Path, key: str) -> Optional[CompileResult]:
-    """The result of the last compile of `out`, if it was made under `key`:
-    the binary, or a failure when only the compile log is there."""
+    """The outcome that the `<binary>.build` sidecar of `out` states for a
+    compile under `key`; None, so that `out` is compiled again, when there is
+    no such sidecar or it states a success whose binary is gone."""
     try:
-        if out.with_suffix(".key").read_text() != key:
-            return None
-    except FileNotFoundError:
+        built = json.loads(out.with_suffix(".build").read_text())
+    except (FileNotFoundError, ValueError):  # ValueError: not JSON
         return None
-    if out.exists():
-        return CompileResult(True, "cached", cached=True)
-    log = out.with_suffix(".compile.log")
-    if log.exists():
-        return CompileResult(False, log.read_text().strip(), cached=True)
-    return None
+    if built["key"] != key or built["ok"] and not out.exists():
+        return None
+    return CompileResult(built["ok"], built["diagnostics"], cached=True)
 
 
 def _matrix(config: CampaignConfig):
@@ -252,10 +249,10 @@ def _matrix(config: CampaignConfig):
 def build_matrix(config: CampaignConfig, *, matrix: Optional[list] = None
                  ) -> dict[tuple[str, int, int], CompileResult]:
     """Compile every (toolchain, test) pair whose build key changed;
-    compilations run in parallel. The key of the last compile sits beside
-    the binary in `<binary>.key`. `matrix`, when given, is
-    `list(_matrix(config))` taken by the caller, so that a pipeline that
-    also runs takes each compiler's fingerprint once."""
+    compilations run in parallel. A failed compile leaves no binary. Each
+    compile's key, `ok` and diagnostics go last to `<binary>.build`. `matrix`,
+    when given, is `list(_matrix(config))` taken by the caller, so that a
+    pipeline that also runs takes each compiler's fingerprint once."""
     results: dict[tuple[str, int, int], CompileResult] = {}
     misses = []
     for tc, group, test, key in _matrix(config) if matrix is None else matrix:
@@ -268,14 +265,14 @@ def build_matrix(config: CampaignConfig, *, matrix: Optional[list] = None
     def build(job):
         tc, group, test, key = job
         out = config.binary(tc.id, group, test)
-        sidecar = out.with_suffix(".key")
-        # the key is written last, so a compile killed part way leaves none
+        sidecar = out.with_suffix(".build")
+        # the sidecar is written last, so a compile killed part way leaves none
         sidecar.unlink(missing_ok=True)
         res = compile_test(config.test_source(group, test), tc, out)
-        out.with_suffix(".compile.log").write_text(res.diagnostics + "\n")
-        if not res.ok and out.exists():
-            out.unlink()
-        sidecar.write_text(key)
+        if not res.ok:
+            out.unlink(missing_ok=True)
+        sidecar.write_text(json.dumps(
+            {"key": key, "ok": res.ok, "diagnostics": res.diagnostics}))
         return (tc.id, group, test), res
 
     with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 2)) as pool:
@@ -409,7 +406,7 @@ class _RunJob:
     toolchain: ToolchainSpec
     binary: Path
     tokens: list[str]
-    compiled: bool
+    built: CompileResult
     stamp: str
 
     @property
@@ -441,7 +438,7 @@ def _run_jobs(config: CampaignConfig, matrix) -> list[_RunJob]:
         if built is None:
             raise CampaignError(f"{binary} is out of date; run the build stage first")
         for input_id, tokens in enumerate(inputs[group, test]):
-            jobs.append(_RunJob(group, test, input_id, tc, binary, tokens, built.ok,
+            jobs.append(_RunJob(group, test, input_id, tc, binary, tokens, built,
                                 _run_stamp(key, tokens, tc, config)))
     return jobs
 
@@ -483,12 +480,12 @@ def execute_matrix(config: CampaignConfig, *, matrix: Optional[list] = None
         for job in jobs:
             if job.key in kept:
                 continue
-            if job.compiled:
+            if job.built.ok:
                 res = execute(job.binary, job.tokens, config.timeout_seconds,
                               config.repetitions, env_by_tc[job.toolchain.id])
             else:
-                res = ExecResult("COMPILE_FAIL", exit="compile failed; see "
-                                 f"{job.binary.with_suffix('.compile.log')}")
+                res = ExecResult("COMPILE_FAIL", exit="compile failed",
+                                 stderr=job.built.diagnostics[-STDERR_TAIL_BYTES:])
             rec = RunRecord(test=job.test, group=job.group, input=job.input,
                             toolchain=job.toolchain.id, **asdict(res), stamp=job.stamp)
             log.write(rec.to_json() + "\n")

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import yaml
 
-from .analysis import AnalysisError, AnalysisParams
+from .analysis import AnalysisParams
 from .campaign import CampaignConfig, ToolchainSpec
-from .nodes import GeneratorParams, ParamError
+from .nodes import GeneratorParams
 
 
 class ConfigError(ValueError):
@@ -90,7 +90,10 @@ def _toolchains(raw, errors: list[str]) -> list[ToolchainSpec]:
         if not isinstance(env, dict):
             errors.append(f"toolchains[{i}].env: expected a mapping")
             continue
-        specs.append(ToolchainSpec(id=str(entry["id"]), template=str(entry["template"]),
+        tc_id = str(entry["id"])
+        if tc_id in ("", ".", "..") or "/" in tc_id:  # it names the binaries' directory
+            errors.append(f"toolchains[{i}].id: {tc_id!r} is not a directory name")
+        specs.append(ToolchainSpec(id=tc_id, template=str(entry["template"]),
                                    flags=[str(f) for f in flags],
                                    env={str(k): str(v) for k, v in env.items()}))
     if specs and len(specs) < 2:
@@ -107,13 +110,11 @@ def _toolchains(raw, errors: list[str]) -> list[ToolchainSpec]:
 
 def load_config(path, overrides=None) -> LoadedConfig:
     """Parse and validate a campaign config; raises ConfigError listing every
-    bad field. The generator and analysis sections report only their first
-    bad value: `GeneratorParams.validate` and `AnalysisParams.validate`,
-    which also guard `generate_program` and `analyze_campaign`, stop there.
-    `overrides` maps file fields (`campaign_dir`, `generator.rng_seed`, ...)
-    to values that replace the file's before any field is typed or checked.
-    Omitted fields take the defaults of GeneratorParams, CampaignConfig and
-    AnalysisParams (the analysis thresholds among them)."""
+    bad field. `overrides` maps file fields (`campaign_dir`,
+    `generator.rng_seed`, ...) to values that replace the file's before any
+    field is typed or checked. Omitted fields take the defaults of
+    GeneratorParams, CampaignConfig and AnalysisParams (the analysis
+    thresholds among them)."""
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file {path} does not exist"])
@@ -155,19 +156,10 @@ def load_config(path, overrides=None) -> LoadedConfig:
         errors.append("campaign: campaign sizes must be >= 1")
     ana_kwargs = _coerce("analysis", data.get("analysis"), AnalysisParams, errors)
 
-    generator = None
-    try:
-        generator = GeneratorParams(**gen_kwargs)
-        generator.validate()
-    except ParamError as exc:
-        errors.append(f"generator: {exc}")
-
-    analysis = None
-    try:
-        analysis = AnalysisParams(**ana_kwargs)
-        analysis.validate()
-    except AnalysisError as exc:
-        errors.append(f"analysis: {exc}")
+    generator = GeneratorParams(**gen_kwargs)
+    errors += [f"generator: {problem}" for problem in generator.problems()]
+    analysis = AnalysisParams(**ana_kwargs)
+    errors += [f"analysis: {problem}" for problem in analysis.problems()]
 
     campaign_dir = data.get("campaign_dir")
     if not campaign_dir:

@@ -51,37 +51,25 @@ FORMATS = {
 
 
 def round_to_single(v: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", v))[0]
+    """`v` rounded to the nearest single, or ±inf where that overflows."""
+    try:
+        return struct.unpack("<f", struct.pack("<f", v))[0]
+    except OverflowError:
+        return math.copysign(math.inf, v)
 
 
-def representable(v: float, precision: str) -> bool:
-    if precision == "double":
-        return True
-    if math.isnan(v):
-        return True
-    return round_to_single(v) == v
-
-
-def satisfies(fp_class: FpClass, v: float, precision: str) -> bool:
-    """Class-membership predicate for a given precision."""
+def _satisfies(fp_class: FpClass, v: float, precision: str) -> bool:
+    """Class membership of a nonzero draw already rounded to `precision`."""
     fmt = FORMATS[precision]
-    if not representable(v, precision):
-        return False
     av = abs(v)
-    if fp_class is FpClass.ZERO_POSITIVE:
-        return v == 0.0 and math.copysign(1.0, v) > 0
-    if fp_class is FpClass.ZERO_NEGATIVE:
-        return v == 0.0 and math.copysign(1.0, v) < 0
     if fp_class is FpClass.SUBNORMAL:
         return 0.0 < av < fmt.min_normal
     is_normal = math.isfinite(v) and fmt.min_normal <= av <= fmt.max_finite
-    if fp_class is FpClass.NORMAL:
-        return is_normal
     if fp_class is FpClass.ALMOST_INFINITY:
         return is_normal and av >= fmt.max_finite / DECADE
     if fp_class is FpClass.ALMOST_SUBNORMAL:
         return is_normal and av <= fmt.min_normal * DECADE
-    raise ValueError(fp_class)
+    return is_normal  # NORMAL
 
 
 def _signed(rng: Random, v: float) -> float:
@@ -104,14 +92,12 @@ def gen_value(fp_class: FpClass, precision: str, rng: Random) -> float:
             v = rng.randint(1, 2 ** fmt.significand_bits - 1) * quantum
         elif fp_class is FpClass.ALMOST_INFINITY:
             v = rng.uniform(fmt.max_finite / DECADE, fmt.max_finite)
-        elif fp_class is FpClass.ALMOST_SUBNORMAL:
+        else:  # ALMOST_SUBNORMAL
             v = rng.uniform(fmt.min_normal, fmt.min_normal * DECADE)
-        else:
-            raise ValueError(fp_class)
         if precision == "single":
             v = round_to_single(v)
         v = _signed(rng, v)
-        if satisfies(fp_class, v, precision):
+        if _satisfies(fp_class, v, precision):
             return v
 
 

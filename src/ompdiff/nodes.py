@@ -34,23 +34,29 @@ class GeneratorParams:
     num_threads: int = 4
     rng_seed: int = 0
 
-    def validate(self) -> None:
-        for name in ("max_expression_size", "max_lines_in_block", "array_size",
-                     "num_threads"):
-            if getattr(self, name) < 1:
-                raise ParamError(f"{name} must be a positive integer")
-        for name in ("max_nesting_levels", "max_same_level_blocks"):
-            if getattr(self, name) < 0:
-                raise ParamError(f"{name} must be >= 0")
+    def problems(self) -> list[str]:
+        """One message per field that violates its invariant."""
+        found = [f"{name} must be a positive integer"
+                 for name in ("max_expression_size", "max_lines_in_block",
+                              "array_size", "num_threads")
+                 if getattr(self, name) < 1]
+        found += [f"{name} must be >= 0"
+                  for name in ("max_nesting_levels", "max_same_level_blocks")
+                  if getattr(self, name) < 0]
         if not 0.0 <= self.math_func_probability <= 1.0:
-            raise ParamError("math_func_probability must lie in [0, 1]")
-        if not self.math_func_allowed and self.math_func_probability != 0.0:
-            raise ParamError("math_func_probability must be 0 when math_func_allowed is false")
+            found.append("math_func_probability must lie in [0, 1]")
+        elif not self.math_func_allowed and self.math_func_probability != 0.0:
+            found.append("math_func_probability must be 0 when math_func_allowed is false")
         if not 0 <= self.rng_seed < 2 ** 64:
-            raise ParamError("rng_seed must be a 64-bit unsigned integer")
+            found.append("rng_seed must be a 64-bit unsigned integer")
         # thread_id is used as an array subscript, so every id must be in bounds
-        if self.num_threads > self.array_size:
-            raise ParamError("num_threads must not exceed array_size")
+        if 1 <= self.array_size < self.num_threads:
+            found.append("num_threads must not exceed array_size")
+        return found
+
+    def validate(self) -> None:
+        if found := self.problems():
+            raise ParamError(found[0])
 
 
 # --- expressions ---

@@ -9,23 +9,19 @@ import math
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from random import Random
-
-import pytest
 
 from ompdiff.analysis import (AnalysisParams, Classification, analyze_campaign,
                               classify_correctness, classify_performance)
-from ompdiff.campaign import (CampaignConfig, RunRecord, execute,
-                              generate_tests, load_records)
+from ompdiff.campaign import CampaignConfig, RunRecord, execute, load_records
 from ompdiff.cli import EXIT_OK, EXIT_OUTLIERS, main
 from ompdiff.emit import emit_source
 from ompdiff.generator import generate_program
 from ompdiff.inputs import (FP_CLASSES, gen_input_sample, gen_value,
                             parse_fp_token, serialize_input)
-from ompdiff.nodes import (ArrayRef, BinOp, Critical, ForLoop, GeneratorParams,
-                           IfBlock, MathCall, OmpParallel, Paren, TempDecl,
-                           Assignment, walk_statements)
+from ompdiff.nodes import (BinOp, Critical, ForLoop, GeneratorParams, IfBlock,
+                           MathCall, OmpParallel, Paren, TempDecl, Assignment,
+                           walk_statements)
 from ompdiff.validate import validate_program
 
 from oracles import classify_bits, classify_bruteforce, correctness_table

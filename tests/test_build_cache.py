@@ -2,11 +2,12 @@
 
 No compiler is needed: `fakecc.py` stands in for one. It writes a Python
 script as the "binary", with the source's sha256 and the flags in a comment,
-so a binary changes exactly when its source or flags change. It fails when
-`--fail` is among its flags, and exits 0 without writing a binary when
-`--no-out` is.
+so a binary changes exactly when its source or flags change. It fails after
+writing the binary, with 3,000 characters of diagnostics, when `--fail` is
+among its flags, and exits 0 without writing a binary when `--no-out` is.
 """
 
+import json
 import threading
 import time
 from dataclasses import replace
@@ -31,9 +32,6 @@ FAKECC = """
         print("fakecc 1.0")
         sys.exit(0)
     args = sys.argv[1:]
-    if "--fail" in args:
-        print("fakecc: error: --fail given", file=sys.stderr)
-        sys.exit(1)
     if "--no-out" in args:
         sys.exit(0)
     out = args[args.index("-o") + 1]
@@ -45,6 +43,9 @@ FAKECC = """
                  "print('comp=1.5')\\n"
                  "print('time_us=1234')\\n")
     os.chmod(out, 0o755)
+    if "--fail" in args:
+        print("x" * 3000 + "\\nfakecc: error: --fail given", file=sys.stderr)
+        sys.exit(1)
 """
 
 
@@ -122,6 +123,11 @@ def test_cached_compile_failure_is_not_compiled_again(tmp_path, fakecc, compiles
     first = load_records(cfg.records_path())
     failed = [r for r in first if r.status == "COMPILE_FAIL"]
     assert len(failed) == 2 * 2 and {r.toolchain for r in failed} == {"t1"}
+    for rec in failed:  # the tail of the compiler's diagnostics
+        assert rec.exit == "compile failed" and len(rec.stderr) == 2000
+        assert rec.stderr.endswith("x\nfakecc: error: --fail given")
+    # the compiler wrote a binary before it failed; no binary may remain
+    assert not any(cfg.binary("t1", 0, t).exists() for t in range(2))
     log = cfg.records_path().read_bytes()
     compiles.clear()
 
@@ -144,7 +150,7 @@ def test_a_compile_that_writes_no_binary_fails_on_the_first_build(
         assert main(["build"] + argv) == 0
         assert capsys.readouterr().out.strip() == summary
     out = cfg.binary("t1", 0, 0)
-    assert (out.with_suffix(".compile.log").read_text().strip()
+    assert (build_matrix(cfg)[("t1", 0, 0)].diagnostics
             == f"exit code 0 but no binary at {out}")
 
     # a binary left by an earlier compile does not pass for this one's
@@ -234,7 +240,7 @@ def test_sidecar_of_a_killed_compile_forces_a_rebuild(tmp_path, fakecc, monkeypa
     monkeypatch.setattr(campaign, "compile_test", killed)
     with pytest.raises(Killed):
         build_matrix(cfg)
-    assert not victim.with_suffix(".key").exists()
+    assert not victim.with_suffix(".build").exists()
 
     monkeypatch.setattr(campaign, "compile_test", real)
     victim.touch()  # newer than its source, as a half-written output is
@@ -250,10 +256,15 @@ def test_stale_sidecar_forces_a_rebuild(tmp_path, fakecc, compiles):
     generate_tests(cfg)
     build_matrix(cfg)
     compiles.clear()
-    cfg.binary("t0", 0, 0).with_suffix(".key").write_text("0" * 64)
+    cfg.binary("t0", 0, 0).with_suffix(".build").write_text(
+        json.dumps({"key": "0" * 64, "ok": True, "diagnostics": ""}))
     results = build_matrix(cfg)
     assert [tc for tc, _ in compiles] == ["t0"]
     assert not results[("t0", 0, 0)].cached
+
+    # a sidecar cut short, as a full disk leaves it, is no outcome either
+    cfg.binary("t0", 0, 0).with_suffix(".build").write_text('{"key": "')
+    assert not build_matrix(cfg)[("t0", 0, 0)].cached
 
 
 def test_second_run_fails_while_the_first_holds_the_lock(tmp_path, capsys):
@@ -354,7 +365,7 @@ def test_run_refuses_a_binary_without_its_key(tmp_path, fakecc, capsys):
     argv = ["--config", _cli_config(tmp_path, cfg)]
     assert main(["all"] + argv) == 0
     victim = cfg.binary("t1", 0, 1)
-    victim.with_suffix(".key").unlink()
+    victim.with_suffix(".build").unlink()
     capsys.readouterr()
     assert main(["run"] + argv) == EXIT_ERROR
     assert capsys.readouterr().err == \
@@ -383,3 +394,35 @@ def test_all_takes_each_compilers_fingerprint_once(tmp_path, fakecc, monkeypatch
     assert main(["all", "--config", _cli_config(tmp_path, cfg)]) == 0
     assert sorted(calls) == sorted([str(fakecc), str(other)])
     assert len(load_records(cfg.records_path())) == 3 * 2 * 2
+
+
+def test_a_deleted_binary_is_built_again_and_runs(tmp_path, fakecc, capsys):
+    cfg = _config(tmp_path, _toolchains(fakecc, ["-O2"], ["-O0"]))
+    argv = ["--config", _cli_config(tmp_path, cfg)]
+    assert main(["generate"] + argv) == 0
+    assert main(["build"] + argv) == 0
+    cfg.binary("t0", 0, 0).unlink()  # a natural way to force a rebuild
+    capsys.readouterr()
+    assert main(["build"] + argv) == 0
+    assert capsys.readouterr().out.strip() == \
+        "compiled 1, reused 3, failed 0 of 4 matrix entries"
+    assert main(["run"] + argv) == 0
+    records = load_records(cfg.records_path())
+    assert len(records) == 2 * 2 * 2 and {r.status for r in records} == {"OK"}
+
+
+def test_separate_stages_give_the_records_of_all(tmp_path, fakecc, capsys):
+    toolchains = _toolchains(fakecc, ["-O2"], ["-O0"], ["--fail"])
+    records, outputs = [], []
+    for stages in (["generate", "build", "run", "analyze"], ["all"]):
+        where = tmp_path / stages[0]
+        where.mkdir()
+        cfg = _config(where, toolchains)
+        argv = ["--config", _cli_config(where, cfg)]
+        capsys.readouterr()
+        assert [main([stage] + argv) for stage in stages] == [0] * len(stages)
+        outputs.append(capsys.readouterr().out.splitlines())
+        records.append({r.key: (r.status, r.comp)
+                        for r in load_records(cfg.records_path())})
+    assert records[0] == records[1] and len(records[0]) == 3 * 2 * 2
+    assert "record log holds 12 records" in outputs[0]

@@ -7,10 +7,10 @@ import pytest
 import yaml
 
 import ompdiff.campaign as campaign
-from ompdiff.campaign import (CampaignConfig, CampaignError, CompileResult,
-                              ExecResult, RunRecord, ToolchainSpec,
-                              build_matrix, compile_test, execute,
-                              execute_matrix, generate_tests, load_records)
+from ompdiff.campaign import (CampaignConfig, CampaignError, ExecResult,
+                              RunRecord, ToolchainSpec, build_matrix,
+                              compile_test, execute, execute_matrix,
+                              generate_tests, load_records)
 from ompdiff.cli import EXIT_OK, EXIT_OUTLIERS, main
 from ompdiff.config import ConfigError, load_config
 from ompdiff.nodes import GeneratorParams

@@ -142,6 +142,57 @@ def test_every_bad_campaign_and_toolchain_field_is_reported(tmp_path, capsys):
     assert sorted(err) == sorted(f"config error: {line}" for line in expected)
 
 
+def test_every_bad_generator_and_analysis_field_is_reported(tmp_path, capsys):
+    path = write_config(tmp_path, f"""
+        campaign_dir: {tmp_path / 'c'}
+        toolchains:
+          - id: gcc
+            template: "g++ {{flags}} {{src}} -o {{out}}"
+          - id: gcc-O0
+            template: "g++ -O0 {{flags}} {{src}} -o {{out}}"
+        generator:
+          num_threads: 0
+          max_expression_size: 0
+          math_func_probability: 2.0
+        campaign:
+          timeout_seconds: 0
+          inputs_per_test: 0
+        analysis:
+          alpha: -1
+          beta: 0.5
+          min_time_us: -3
+    """)
+    assert main(["validate-config", "--config", str(path)]) == EXIT_ERROR
+    assert sorted(capsys.readouterr().err.splitlines()) == sorted(
+        f"config error: {line}" for line in (
+            "campaign: timeout_seconds must be > 0",
+            "campaign: campaign sizes must be >= 1",
+            "generator: max_expression_size must be a positive integer",
+            "generator: num_threads must be a positive integer",
+            "generator: math_func_probability must lie in [0, 1]",
+            "analysis: alpha must be > 0",
+            "analysis: beta must be > 1",
+            "analysis: min_time_us must be >= 0"))
+
+
+@pytest.mark.parametrize("bad_id", ["gcc/.", "../x", "..", ".", ""])
+def test_a_toolchain_id_must_name_one_directory(tmp_path, capsys, bad_id):
+    # `gcc` and `gcc/.` would share binaries; `../x` would build outside the campaign
+    path = write_config(tmp_path, f"""
+        campaign_dir: {tmp_path / 'c'}
+        toolchains:
+          - id: gcc
+            template: "g++ {{flags}} {{src}} -o {{out}}"
+          - id: "{bad_id}"
+            template: "g++ -O0 {{flags}} {{src}} -o {{out}}"
+        generator:
+          num_threads: 2
+    """)
+    assert main(["validate-config", "--config", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: toolchains[1].id: {bad_id!r} is not a directory name"]
+
+
 def test_mistyped_toolchain_keys_are_reported(tmp_path, capsys):
     # a dropped `flags` would build one toolchain without -fopenmp
     path = write_config(tmp_path, f"""

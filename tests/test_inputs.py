@@ -116,3 +116,23 @@ def test_inputs_file_roundtrip(tmp_path):
     write_inputs_file(path, samples)
     lines = read_inputs_file(path)
     assert lines == [serialize_input(s) for s in samples]
+
+
+class _AtTheTopOfSingle(Random):
+    """Draws the largest single exponent, and first a significand that rounds
+    past the largest single: the draw must be refused, not raise."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.significands = iter([2.0 - 2.0 ** -30, 1.5])
+
+    def randint(self, a, b):
+        return b
+
+    def uniform(self, a, b):
+        return next(self.significands)
+
+
+def test_a_single_normal_draw_that_rounds_to_infinity_is_drawn_again():
+    v = gen_value(FpClass.NORMAL, "single", _AtTheTopOfSingle())
+    assert abs(v) == 1.5 * 2.0 ** 127

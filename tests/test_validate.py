@@ -1,6 +1,10 @@
+from dataclasses import replace
+
+import pytest
+
 from ompdiff.nodes import (COMP, ArrayRef, Assignment, BinOp, Block, BoolExpr,
-                           Critical, ForLoop, GeneratorParams, IfBlock, Num,
-                           OmpParallel, ParamDecl, Program, TempDecl, VarTerm)
+                           Critical, ForLoop, GeneratorParams, IfBlock, MathCall,
+                           Num, OmpParallel, ParamDecl, Program, TempDecl, VarTerm)
 from ompdiff.validate import validate_program
 
 PARAMS = GeneratorParams(max_expression_size=3, max_nesting_levels=2,
@@ -202,3 +206,97 @@ def test_loop_bound_below_one_has_its_own_rule():
     loop = ForLoop("i_0", 0, omp_for=False,
                    body=Block([Assignment(VarTerm(COMP), "=", Num("1.0"))]))
     assert rules(validate_program(program(Block([loop])), PARAMS)) == {"limit.bound"}
+
+
+def comp_is(expr):
+    return Assignment(VarTerm(COMP), "=", expr)
+
+
+SCALAR = ParamDecl("var_1", "fp-scalar")
+ARRAY = ParamDecl("var_1", "fp-array")
+MATH = replace(PARAMS, math_func_allowed=True, math_func_probability=0.5)
+DEEPER = replace(PARAMS, max_nesting_levels=3)
+
+# one minimal program per rule: (program, params, the only violation's (path, rule))
+EACH_RULE = {
+    "duplicate parameter names": (
+        program(Block([comp_is(Num("1.0"))]), params=[SCALAR, SCALAR]),
+        PARAMS, ("params", "scope")),
+    "math call while math is disallowed": (
+        program(Block([comp_is(MathCall("sin", Num("1.0")))])),
+        PARAMS, ("body[0]", "math")),
+    "unknown math function": (
+        program(Block([comp_is(MathCall("tan", Num("1.0")))])),
+        MATH, ("body[0]", "math")),
+    "unknown arithmetic operator": (
+        program(Block([comp_is(BinOp("%", Num("1.0"), Num("2.0")))])),
+        PARAMS, ("body[0]", "op")),
+    "a node that is no expression": (
+        program(Block([comp_is(BoolExpr(COMP, "<", Num("1.0")))])),
+        PARAMS, ("body[0]", "op")),
+    "subscripted scalar": (
+        program(Block([ForLoop("i_0", 10, omp_for=False, body=Block([
+            comp_is(ArrayRef("var_1", "i_0", modulo=True))]))]), params=[SCALAR]),
+        PARAMS, ("body[0].body[0]", "scope")),
+    "thread-id subscript outside a region": (
+        program(Block([comp_is(ArrayRef("var_1", "thread_id"))]), params=[ARRAY]),
+        PARAMS, ("body[0]", "subscript")),
+    "thread-id subscript with modulo": (
+        program(Block([region(good_region_body([
+            Assignment(ArrayRef("var_1", "thread_id", modulo=True), "=",
+                       Num("1.0"))]))]), params=[ARRAY]),
+        PARAMS, ("body[0].body[1].body[0]", "subscript")),
+    "condition on an undeclared name": (
+        program(Block([IfBlock(BoolExpr("ghost", "<", Num("1.0")),
+                               Block([comp_is(Num("1.0"))]))])),
+        PARAMS, ("body[0]", "scope")),
+    "unknown boolean operator": (
+        program(Block([IfBlock(BoolExpr(COMP, "=<", Num("1.0")),
+                               Block([comp_is(Num("1.0"))]))])),
+        PARAMS, ("body[0]", "op")),
+    "unknown statement": (
+        program(Block([Num("1.0")])),
+        PARAMS, ("body[0]", "op")),
+    "assignment to a loop index": (
+        program(Block([ForLoop("i_0", 10, omp_for=False, body=Block([
+            Assignment(VarTerm("i_0"), "=", Num("1.0"))]))])),
+        PARAMS, ("body[0].body[0]", "scope")),
+    "assignment to an undeclared name": (
+        program(Block([Assignment(VarTerm("ghost"), "=", Num("1.0"))])),
+        PARAMS, ("body[0]", "scope")),
+    "assignment to a literal": (
+        program(Block([Assignment(Num("1.0"), "=", Num("2.0"))])),
+        PARAMS, ("body[0]", "op")),
+    "unprotected write to a shared scalar": (
+        program(Block([region(good_region_body([
+            Assignment(VarTerm("var_1"), "=", Num("1.0"))]))]), params=[SCALAR]),
+        PARAMS, ("body[0].body[1].body[0]", "race")),
+    "loop bound that is no int parameter": (
+        program(Block([ForLoop("i_0", "var_1", omp_for=False, body=Block([
+            comp_is(Num("1.0"))]))]), params=[SCALAR]),
+        PARAMS, ("body[0]", "scope")),
+    "num_threads below one": (
+        program(Block([region(good_region_body([TempDecl("var_8", Num("0.0"))]),
+                              num_threads=0)])),
+        PARAMS, ("body[0]", "omp.clause")),
+    "a name both private and firstprivate": (
+        program(Block([region(good_region_body([TempDecl("var_8", Num("0.0"))]),
+                              private=("var_1",), firstprivate=("var_1",))]),
+                params=[SCALAR]),
+        PARAMS, ("body[0]", "omp.clause")),
+    "loop index in a clause": (
+        program(Block([ForLoop("i_0", 10, omp_for=False, body=Block([
+            region(good_region_body([TempDecl("var_8", Num("0.0"))]),
+                   private=("i_0",))]))])),
+        DEEPER, ("body[0].body[0]", "omp.clause")),
+    "region with no assignment before its loop": (
+        program(Block([region([ForLoop("i_1", 10, omp_for=True, body=Block([
+            TempDecl("var_8", Num("0.0"))]))])])),
+        PARAMS, ("body[0].body", "grammar.region_shape")),
+}
+
+
+@pytest.mark.parametrize("case", EACH_RULE)
+def test_each_rule_flags_its_minimal_program(case):
+    prog, params, expected = EACH_RULE[case]
+    assert [(v.path, v.rule) for v in validate_program(prog, params)] == [expected]
