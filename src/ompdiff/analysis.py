@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .campaign import RunRecord
@@ -166,12 +166,6 @@ def classify_correctness(statuses: dict[str, str]) -> CorrectnessResult:
     return CorrectnessResult(classes, anomaly)
 
 
-@dataclass
-class AgreementResult:
-    agree: bool
-    details: list[str] = field(default_factory=list)
-
-
 def _parse_comp(token: str) -> Optional[float]:
     try:
         return float(token)
@@ -191,24 +185,22 @@ def _values_agree(a: float, b: float, rel_tol: float) -> bool:
     return abs(a - b) <= rel_tol * max(abs(a), abs(b))
 
 
-def numeric_agreement(outputs: dict[str, str], rel_tol: float) -> AgreementResult:
-    """Check that every pair of printed comp values agrees within rel_tol."""
+def numeric_agreement(outputs: dict[str, str], rel_tol: float) -> list[str]:
+    """One line per pair of printed comp values that do not agree within
+    rel_tol; an empty list when every pair agrees."""
     parsed = {k: _parse_comp(v) for k, v in outputs.items()}
     details = []
-    agree = True
     keys = sorted(outputs)
     for i, ka in enumerate(keys):
         for kb in keys[i + 1:]:
             a, b = parsed[ka], parsed[kb]
             if a is None or b is None:
-                agree = False
                 bad = ka if a is None else kb
                 details.append(f"{ka} vs {kb}: unparseable output from {bad}: "
                                f"{outputs[bad]!r}")
             elif not _values_agree(a, b, rel_tol):
-                agree = False
                 details.append(f"{ka} vs {kb}: {outputs[ka]} != {outputs[kb]}")
-    return AgreementResult(agree, details)
+    return details
 
 
 # --- whole-campaign analysis ---
@@ -221,11 +213,14 @@ class GroupVerdict:
     classes: dict[str, Classification]
     midpoint_us: Optional[float]
     ratios: dict[str, float]
-    numeric_agree: bool
-    agreement_details: list[str]
+    agreement_details: list[str]  # one line per disagreeing pair of OK runs
     group_anomaly: bool
     short: bool  # an OK run fell below min_time_us, so no performance verdict
     ok_runs: int
+
+    @property
+    def numeric_agree(self) -> bool:
+        return not self.agreement_details
 
 
 # the outlier table's column of each counted class
@@ -284,14 +279,13 @@ def _judge_group(key: tuple[int, int, int], recs: dict[str, RunRecord],
     times = {tc: float(r.time_us) for tc, r in ok.items()}
     short = _has_short_run(times, params)
     perf, mid = _judge_performance(times, params, short)
-    agreement = numeric_agreement({tc: r.comp for tc, r in ok.items()},
-                                  params.numeric_rel_tol)
     classes = {tc: perf[tc] if tc in perf
                else corr.classes.get(tc, Classification.EXCLUDED) for tc in recs}
     return GroupVerdict(
         *key, classes=classes, midpoint_us=mid,
         ratios={tc: t / mid for tc, t in times.items()} if mid is not None else {},
-        numeric_agree=agreement.agree, agreement_details=agreement.details,
+        agreement_details=numeric_agreement({tc: r.comp for tc, r in ok.items()},
+                                            params.numeric_rel_tol),
         group_anomaly=corr.group_anomaly, short=short, ok_runs=len(times))
 
 

@@ -17,6 +17,7 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import shlex
 import shutil
 import signal
@@ -180,7 +181,7 @@ class CompileResult:
 
 def compile_test(source: Path, toolchain: ToolchainSpec, out: Path) -> CompileResult:
     """Compile `source` to `out`. A compile succeeds when the compiler exits 0
-    and wrote `out`; any earlier `out` is removed first."""
+    and wrote an executable `out`; any earlier `out` is removed first."""
     argv = toolchain.command(str(source), str(out))
     out.parent.mkdir(parents=True, exist_ok=True)
     out.unlink(missing_ok=True)
@@ -191,6 +192,8 @@ def compile_test(source: Path, toolchain: ToolchainSpec, out: Path) -> CompileRe
         return CompileResult(False, diagnostics or f"exit code {proc.returncode}")
     if not out.exists():
         return CompileResult(False, f"exit code 0 but no binary at {out}")
+    if not os.access(out, os.X_OK):  # e.g. an object file of `-c`
+        return CompileResult(False, f"exit code 0 but {out} is not executable")
     return CompileResult(True, diagnostics)
 
 
@@ -294,23 +297,16 @@ class ExecResult:
 
 
 def _parse_run_output(stdout: bytes) -> Optional[tuple[str, int]]:
+    """`(comp, time_us)` of stdout that keeps the output contract, else None."""
+    # exactly the two printf lines of emit.py's main: "comp=%.17g\n", "time_us=%lld\n"
+    match = re.fullmatch(rb"comp=([!-~]+)\ntime_us=([0-9]+)\n", stdout)
+    if match is None:
+        return None
     try:
-        text = stdout.decode("utf-8")
-    except UnicodeDecodeError:
+        float(match[1])  # %.17g also prints nan, -nan, inf and -inf
+    except ValueError:
         return None
-    comp = None
-    time_us = None
-    for line in text.splitlines():
-        if line.startswith("comp=") and comp is None:
-            comp = line[len("comp="):].strip()
-        elif line.startswith("time_us=") and time_us is None:
-            try:
-                time_us = int(line[len("time_us="):].strip())
-            except ValueError:
-                return None
-    if comp is None or time_us is None or time_us < 0:
-        return None
-    return comp, time_us
+    return match[1].decode(), int(match[2])
 
 
 def _run_once(binary: str, args: list[str], timeout: float,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import shlex
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -93,6 +94,10 @@ def _toolchains(raw, errors: list[str]) -> list[ToolchainSpec]:
         tc_id = str(entry["id"])
         if tc_id in ("", ".", "..") or "/" in tc_id:  # it names the binaries' directory
             errors.append(f"toolchains[{i}].id: {tc_id!r} is not a directory name")
+        for value in [*flags, *env.values()]:  # str() would make null "None"
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                errors.append(f"campaign: toolchain {tc_id!r}: flag or env value "
+                              f"{value!r} is not a string or a number")
         specs.append(ToolchainSpec(id=tc_id, template=str(entry["template"]),
                                    flags=[str(f) for f in flags],
                                    env={str(k): str(v) for k, v in env.items()}))
@@ -101,10 +106,19 @@ def _toolchains(raw, errors: list[str]) -> list[ToolchainSpec]:
     ids = [t.id for t in specs]
     if len(set(ids)) != len(ids):
         errors.append("campaign: toolchain ids must be unique")
-    for tc in specs:
+    for tc in specs:  # each template as ToolchainSpec.command() splits it
+        try:
+            words = shlex.split(tc.template)
+        except ValueError as exc:
+            errors.append(f"campaign: toolchain {tc.id!r}: template cannot be "
+                          f"split into words ({exc})")
+            continue
         if "{src}" not in tc.template or "{out}" not in tc.template:
             errors.append(f"campaign: toolchain {tc.id!r}: template needs "
                           f"{{src}} and {{out}} placeholders")
+        if tc.flags and "{flags}" not in words:
+            errors.append(f"campaign: toolchain {tc.id!r}: template has no {{flags}} "
+                          "word, so its flags would be dropped")
     return specs
 
 

@@ -46,7 +46,9 @@ class _Emitter:
         self.program = program
         self.ctype = CTYPE[program.precision]
         self.math_suffix = MATH_SUFFIX[program.precision]
-        self.int_names = {d.name for d in program.params if d.kind == "int-scalar"}
+        # ints that expr() casts to the fp type; a loop index joins at its loop
+        self.int_names = {THREAD_ID} | {d.name for d in program.params
+                                        if d.kind == "int-scalar"}
         self.math_called: set[str] = set()  # filled while expr() emits calls
         self.uses_thread_id = False  # set while a region's body is emitted
         self.lines: list[str] = []
@@ -61,7 +63,7 @@ class _Emitter:
             return e.text
         if isinstance(e, VarTerm):
             self.uses_thread_id |= e.name == THREAD_ID
-            if e.name in self.int_names or e.name.startswith("i_") or e.name == THREAD_ID:
+            if e.name in self.int_names:
                 return f"({self.ctype}){e.name}"
             return e.name
         if isinstance(e, ArrayRef):
@@ -108,6 +110,7 @@ class _Emitter:
             self.block(stmt.body, depth + 1)
             self.put(depth, "}")
         elif isinstance(stmt, ForLoop):
+            self.int_names.add(stmt.index)
             if stmt.omp_for:
                 self.put(depth, "#pragma omp for")
             self.put(depth, f"for (int {stmt.index} = 0; {stmt.index} < {stmt.bound}; "

@@ -164,17 +164,17 @@ def test_correctness_needs_two_implementations():
 
 
 def test_numeric_agreement():
-    assert numeric_agreement({"a": "1.5", "b": "1.5", "c": "1.5"}, 0).agree
-    assert numeric_agreement({"a": "nan", "b": "nan"}, 0).agree
-    assert numeric_agreement({"a": "nan", "b": "-nan"}, 0).agree
-    assert not numeric_agreement({"a": "1.0", "b": "2.0"}, 1e-12).agree
-    assert numeric_agreement({"a": "inf", "b": "inf"}, 0).agree
-    assert not numeric_agreement({"a": "inf", "b": "-inf"}, 1e-6).agree
-    assert not numeric_agreement({"a": "nan", "b": "1.0"}, 1e-6).agree
-    assert numeric_agreement({"a": "1.0", "b": "1.0000000001"}, 1e-6).agree
-    res = numeric_agreement({"a": "bogus", "b": "1.0"}, 0)
-    assert not res.agree and "unparseable" in res.details[0]
-    assert numeric_agreement({"a": "0.0", "b": "-0.0"}, 0).agree
+    assert numeric_agreement({"a": "1.5", "b": "1.5", "c": "1.5"}, 0) == []
+    assert numeric_agreement({"a": "nan", "b": "nan"}, 0) == []
+    assert numeric_agreement({"a": "nan", "b": "-nan"}, 0) == []
+    assert numeric_agreement({"a": "1.0", "b": "2.0"}, 1e-12) == ["a vs b: 1.0 != 2.0"]
+    assert numeric_agreement({"a": "inf", "b": "inf"}, 0) == []
+    assert numeric_agreement({"a": "inf", "b": "-inf"}, 1e-6)
+    assert numeric_agreement({"a": "nan", "b": "1.0"}, 1e-6)
+    assert numeric_agreement({"a": "1.0", "b": "1.0000000001"}, 1e-6) == []
+    details = numeric_agreement({"a": "bogus", "b": "1.0"}, 0)
+    assert len(details) == 1 and "unparseable" in details[0]
+    assert numeric_agreement({"a": "0.0", "b": "-0.0"}, 0) == []
 
 
 def _rec(group, test, inp, tc, status, time_us=None, comp=None):

@@ -102,6 +102,27 @@ def test_execute_crash_on_output_that_is_not_utf8(fixtures):
     assert res.exit == "output contract violated"
 
 
+@pytest.mark.parametrize("stdout", [
+    b"comp=hello\ntime_us=10\n", b"comp=\ntime_us=10\n",
+    b"comp=1.5\ncomp=1.5\ntime_us=10\n", b"time_us=10\ncomp=1.5\n",
+    b"comp=1.5\ntime_us=-10\n", b"comp=1.5\ntime_us=1.5\n",
+    b"comp=1.5\ntime_us=10\nextra\n", b"comp=1.5 \ntime_us=10\n",
+], ids=["word", "empty-comp", "comp-twice", "reversed", "negative-time",
+        "fractional-time", "extra-line", "trailing-space"])
+def test_execute_crash_on_output_outside_the_two_lines(tmp_path, stdout):
+    binary = script(tmp_path / "prints.py", f"""
+        import sys
+        sys.stdout.buffer.write({stdout!r})
+    """)
+    res = execute(binary, [], timeout_seconds=10)
+    assert (res.status, res.exit, res.comp) == ("CRASH", "output contract violated", None)
+
+
+@pytest.mark.parametrize("comp", ["nan", "-nan", "inf", "-inf", "-0", "1.2e-310"])
+def test_every_value_that_printf_g_prints_keeps_the_contract(comp):
+    assert campaign._parse_run_output(f"comp={comp}\ntime_us=0\n".encode()) == (comp, 0)
+
+
 def test_execute_repetitions_demand_stable_output(fixtures):
     res = execute(fixtures["flaky"], [], timeout_seconds=10, repetitions=3)
     assert res.status == "CRASH" and "varied" in res.exit
@@ -202,6 +223,26 @@ def test_compile_success_and_failure(toolchain, tmp_path):
     res = compile_test(bad, toolchain, tmp_path / "bad")
     assert not res.ok
     assert res.diagnostics  # compiler output captured verbatim
+
+
+def test_a_compile_whose_output_cannot_be_executed_fails(tmp_path, fixtures, capsys):
+    # as `-c` does: exit 0 with an object file, not a program, at {out}
+    objcc = script(tmp_path / "objcc.py", """
+        import sys
+        if sys.argv[1:] != ["--version"]:
+            open(sys.argv[-1], "w").write("not a program")
+    """)
+    toolchains = copying_toolchains(tmp_path, fixtures["ok"], ids=("a",))
+    cfg = _config(tmp_path, toolchains + [
+        ToolchainSpec(id="obj", template=f"{objcc} {{src}} -o {{out}}")])
+    assert main(["all", "--config", _cli_config(tmp_path, cfg)]) == EXIT_OK
+    records = load_records(cfg.records_path())
+    assert {(r.toolchain, r.status) for r in records} == {("a", "OK"),
+                                                          ("obj", "COMPILE_FAIL")}
+    for rec in records:
+        if rec.toolchain == "obj":
+            assert rec.stderr.endswith("is not executable")
+            assert not cfg.binary("obj", rec.group, rec.test).exists()
 
 
 def _config(tmp_path, toolchains, **kw):

@@ -521,3 +521,65 @@ def test_campaign_dir_may_come_from_the_command_line(tmp_path, capsys):
     assert main(["validate-config", "--config", str(path),
                  "--campaign-dir", str(tmp_path / "d")]) == EXIT_OK
     assert capsys.readouterr().out.startswith(f"campaign_dir: {tmp_path / 'd'}\n")
+
+
+GCC = {"id": "gcc", "template": "g++ {flags} {src} -o {out}", "flags": ["-fopenmp"]}
+MINIMAL = {"campaign_dir": "c", "toolchains": [GCC, {**GCC, "id": "gcc-O2"}],
+           "generator": {"num_threads": 2}}
+
+
+@pytest.mark.parametrize("second, error", [
+    # built without OpenMP: any verdict on it would reflect the lost flags only
+    ({"template": "g++ {src} -o {out}", "flags": ["-O2", "-fopenmp"]},
+     "template has no {flags} word, so its flags would be dropped"),
+    ({"template": "g++ '{flags} {src} -o {out}"},
+     "template cannot be split into words (No closing quotation)"),
+    ({"template": GCC["template"], "flags": ["-O2", None]},
+     "flag or env value None is not a string or a number"),
+    ({"template": GCC["template"], "env": {"X": None}},
+     "flag or env value None is not a string or a number"),
+], ids=["flags-dropped", "unsplittable", "null-flag", "null-env"])
+def test_a_toolchain_is_checked_as_its_command_will_be_built(tmp_path, capsys,
+                                                              second, error):
+    path = tmp_path / "c.yaml"
+    path.write_text(yaml.safe_dump({**MINIMAL, "toolchains": [GCC, {"id": "b", **second}]}))
+    assert main(["validate-config", "--config", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: campaign: toolchain 'b': {error}"]
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"generator": {"num_threads": 2, "math_func_allowed": 1}},
+     "generator.math_func_allowed: expected bool, got '1'"),
+    ({"toolchains": [GCC, "clang"]}, "toolchains[1]: expected a mapping"),
+    ({"toolchains": [GCC, {"id": "clang"}]}, "toolchains[1]: missing template"),
+    ({"toolchains": [GCC, {"flags": []}]}, "toolchains[1]: missing id, template"),
+    ({"toolchains": [GCC, {**GCC, "id": "b", "flags": "-O2"}]},
+     "toolchains[1].flags: expected a list"),
+    ({"toolchains": [GCC, {**GCC, "id": "b", "env": ["X=1"]}]},
+     "toolchains[1].env: expected a mapping"),
+    ({"bogus": 1}, "bogus: unknown section"),
+    ("campaign_dir: [c\n", "config is not valid YAML: "),
+    ("- c\n", "config must be a mapping of sections"),
+], ids=["non-bool", "entry-not-mapping", "no-template", "no-id-or-template",
+        "flags-not-list", "env-not-mapping", "unknown-section", "not-yaml",
+        "not-a-mapping"])
+def test_each_config_error_names_its_field(tmp_path, change, error):
+    path = tmp_path / "bad.yaml"
+    path.write_text(change if isinstance(change, str)
+                    else yaml.safe_dump({**MINIMAL, **change}))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    # the YAML parser's own text follows the not-yaml message
+    assert [e for e in info.value.errors if e.startswith(error)], info.value.errors
+
+
+def test_the_readme_configuration_example_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Configuration"):]
+    example = section[section.index("```yaml\n") + len("```yaml\n"):section.index("```\n\n")]
+    path = tmp_path / "readme.yaml"
+    path.write_text(example)
+    loaded = load_config(path)
+    assert [t.id for t in loaded.campaign.toolchains] == ["gcc", "clang"]
+    assert loaded.campaign.n_groups == 20 and loaded.analysis.beta == 1.5

@@ -27,6 +27,11 @@ def test_clean_minimal_program():
     assert validate_program(prog, PARAMS) == []
 
 
+def test_a_parameter_of_unknown_kind_cannot_be_declared():
+    with pytest.raises(ValueError, match="unknown parameter kind: fp-matrix"):
+        ParamDecl("m", "fp-matrix")
+
+
 def test_omp_for_outside_region_is_flagged():
     loop = ForLoop("i_0", 10, omp_for=True,
                    body=Block([Assignment(VarTerm(COMP), "=", Num("1.0"))]))
